@@ -7,6 +7,7 @@
 
 #include "comm/clique_unicast.h"
 #include "core/apsp.h"
+#include "core/block_mm.h"
 #include "graph/degeneracy.h"
 #include "graph/generators.h"
 #include "graph/ruzsa_szemeredi.h"
@@ -197,6 +198,43 @@ void BM_ApspEndToEnd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ApspEndToEnd)->Arg(32)->Arg(64);
+
+// The relay layer on its own, at the dense aggregation length matrix (61-bit
+// entries, whole-row ownership): the closed-form cost the plans price it
+// with, and one relayed delivery through the executor.
+void BM_RelayCost(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const blockmm::LengthMatrix len =
+      blockmm::aggregate_lengths(blockmm::BlockGrid(n), 61);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(blockmm::relay_cost(len, n, 64));
+  }
+}
+BENCHMARK(BM_RelayCost)->Arg(64)->Arg(343);
+
+void BM_RelayedPayloads(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const blockmm::LengthMatrix len =
+      blockmm::aggregate_lengths(blockmm::BlockGrid(n), 61);
+  Rng rng(11);
+  std::vector<std::vector<Message>> payload(
+      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
+  for (int v = 0; v < n; ++v) {
+    for (int p = 0; p < n; ++p) {
+      Message& msg = payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)];
+      for (std::size_t b = 0; b < len[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)];
+           ++b) {
+        msg.push_bit(rng.uniform(2) != 0);
+      }
+    }
+  }
+  for (auto _ : state) {
+    CliqueUnicast net(n, 64);
+    std::vector<std::vector<Message>> received;
+    benchmark::DoNotOptimize(unicast_payloads_relayed(net, payload, &received));
+  }
+}
+BENCHMARK(BM_RelayedPayloads)->Arg(64);
 
 }  // namespace
 

@@ -50,7 +50,7 @@
 // nothing unless the build defines CCLIQUE_OBLIVIOUS_ENABLED (the
 // CCLIQUE_OBLIVIOUS=ON CMake option / the `oblivious` preset): SinkScope
 // and DeclaredDependence are empty objects, source_touch is an empty inline
-// function, and the 18 committed bench baselines are byte-identical with
+// function, and the 20 committed bench baselines are byte-identical with
 // the guard compiled out.
 #pragma once
 

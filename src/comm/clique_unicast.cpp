@@ -100,11 +100,99 @@ void CliqueUnicast::deliver(std::vector<std::vector<Message>>& out,
   }
 }
 
+namespace {
+
+/// The chunked stream transport both payload helpers run on: stream
+/// (i -> j), len(i, j) bits long, crosses the network in
+/// ceil(max len / b) rounds, round k carrying its bits [k·b, (k+1)·b) in
+/// the arena slot. pack(i, j, offset, take, slot) appends those bits of
+/// stream (i, j) to the sender's slot; unpack(r, j, offset, piece) hands
+/// receiver r the piece of stream (j, r) that starts at `offset`. Self
+/// streams (i == j) never travel.
+template <typename LenFn, typename PackFn, typename UnpackFn>
+int stream_rounds(CliqueUnicast& net, std::size_t max_len, const LenFn& len,
+                  const PackFn& pack, const UnpackFn& unpack) {
+  const int n = net.n();
+  const std::size_t b = static_cast<std::size_t>(net.bandwidth());
+  const int rounds = static_cast<int>((max_len + b - 1) / b);
+  for (int k = 0; k < rounds; ++k) {
+    const std::size_t offset = static_cast<std::size_t>(k) * b;
+    net.round_fill(
+        [&](int i, Message* box) {
+          for (int j = 0; j < n; ++j) {
+            if (j == i) continue;
+            const std::size_t l = len(i, j);
+            if (offset >= l) continue;
+            pack(i, j, offset, std::min(b, l - offset), box[j]);
+          }
+        },
+        [&](int r, const std::vector<Message>& inbox) {
+          for (int j = 0; j < n; ++j) {
+            const Message& piece = inbox[static_cast<std::size_t>(j)];
+            if (!piece.empty()) unpack(r, j, offset, piece);
+          }
+        });
+  }
+  return rounds;
+}
+
+/// Per-player stream buffers: lane a holds a's streams to b = 0..n-1 back
+/// to back, stream (a, b) at bits [start(a, b), start(a, b) + size(a, b)).
+/// Sized once from the closed-form loads, so a relay hop costs n buffers
+/// instead of n² messages. Each stream also keeps a cursor for writing
+/// (put) or reading (next) it front to back.
+class Lanes {
+ public:
+  template <typename SizeFn>
+  Lanes(int n, const SizeFn& size) : n_(static_cast<std::size_t>(n)), start_(n_ * n_) {
+    lanes_.reserve(n_);
+    for (std::size_t a = 0; a < n_; ++a) {
+      std::size_t total = 0;
+      for (std::size_t b = 0; b < n_; ++b) {
+        start_[a * n_ + b] = total;
+        total += size(static_cast<int>(a), static_cast<int>(b));
+      }
+      lanes_.emplace_back(total);
+    }
+    cursor_ = start_;
+  }
+
+  Message& lane(int a) { return lanes_[static_cast<std::size_t>(a)]; }
+  std::size_t start(int a, int b) const { return start_[index(a, b)]; }
+
+  /// Stream (a, b)'s cursor, then advances it by `len`.
+  std::size_t next(int a, int b, std::size_t len) {
+    std::size_t& c = cursor_[index(a, b)];
+    const std::size_t at = c;
+    c += len;
+    return at;
+  }
+
+  /// Writes `len` bits of `src` from bit `pos` at stream (a, b)'s cursor.
+  void put(int a, int b, const Message& src, std::size_t pos, std::size_t len) {
+    lane(a).write_slice(next(a, b, len), src, pos, len);
+  }
+
+  /// Moves every cursor back to its stream's start.
+  void rewind() { cursor_ = start_; }
+
+ private:
+  std::size_t index(int a, int b) const {
+    return static_cast<std::size_t>(a) * n_ + static_cast<std::size_t>(b);
+  }
+
+  std::size_t n_;
+  std::vector<std::size_t> start_;
+  std::vector<std::size_t> cursor_;
+  std::vector<Message> lanes_;
+};
+
+}  // namespace
+
 int unicast_payloads(CliqueUnicast& net,
                      const std::vector<std::vector<Message>>& payload,
                      std::vector<std::vector<Message>>* received) {
   const int n = net.n();
-  const std::size_t b = static_cast<std::size_t>(net.bandwidth());
   // The whole driver is a chunk-schedule sink: rounds and slice lengths
   // derive from Message *sizes* (already-committed lengths), never from
   // payload values, and the blanket scope makes that machine-checked.
@@ -124,36 +212,24 @@ int unicast_payloads(CliqueUnicast& net,
           payload[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)].size_bits());
     }
   }
-  const int rounds = static_cast<int>((max_len + b - 1) / b);
-  for (int r = 0; r < rounds; ++r) {
-    const std::size_t offset = static_cast<std::size_t>(r) * b;
-    net.round_fill(
-        [&](int i, Message* box) {
-          for (int j = 0; j < n; ++j) {
-            if (j == i) continue;
-            const Message& full = payload[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
-            if (offset >= full.size_bits()) continue;
-            const std::size_t take = std::min(b, full.size_bits() - offset);
-            box[j].append_slice(full, offset, take);
-          }
-        },
-        [&](int receiver, const std::vector<Message>& inbox) {
-          for (int j = 0; j < n; ++j) {
-            const Message& chunk = inbox[static_cast<std::size_t>(j)];
-            if (!chunk.empty()) {
-              (*received)[static_cast<std::size_t>(receiver)][static_cast<std::size_t>(j)]
-                  .append(chunk);
-            }
-          }
-        });
-  }
-  return rounds;
+  auto full = [&payload](int i, int j) -> const Message& {
+    return payload[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
+  };
+  return stream_rounds(
+      net, max_len, [&](int i, int j) { return full(i, j).size_bits(); },
+      [&](int i, int j, std::size_t offset, std::size_t take, Message& slot) {
+        slot.append_slice(full(i, j), offset, take);
+      },
+      [&](int r, int j, std::size_t /*offset*/, const Message& piece) {
+        (*received)[static_cast<std::size_t>(r)][static_cast<std::size_t>(j)].append(piece);
+      });
 }
 
 int unicast_payloads_relayed(CliqueUnicast& net,
                              const std::vector<std::vector<Message>>& payload,
                              std::vector<std::vector<Message>>* received) {
   const int n = net.n();
+  const std::size_t nn = static_cast<std::size_t>(n);
   oblivious::SinkScope sink(
       CC_OBLIVIOUS_SITE("unicast_payloads_relayed chunk schedule"));
   CC_REQUIRE(static_cast<int>(payload.size()) == n, "payload matrix must be n x n");
@@ -163,99 +239,81 @@ int unicast_payloads_relayed(CliqueUnicast& net,
     CC_REQUIRE(row[static_cast<std::size_t>(v)].empty(),
                "relayed payloads cannot address the sender itself");
   }
-  auto chunk_len = [n](std::size_t len, int c) {
-    return relay_chunk_lo(len, c + 1, n) - relay_chunk_lo(len, c, n);
+  auto full = [&payload](int v, int p) -> const Message& {
+    return payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)];
+  };
+  auto at = [nn](int a, int b) {
+    return static_cast<std::size_t>(a) * nn + static_cast<std::size_t>(b);
+  };
+  // The closed-form link loads are every stream's exact length, so each
+  // stage's streams live in one lane per player, sized up front.
+  const RelayLinkLoads loads =
+      relay_link_loads(n, [&](int v, int p) { return full(v, p).size_bits(); });
+  auto hop1 = [&](int v, int t) { return v == t ? std::size_t{0} : loads.hop1[at(v, t)]; };
+  auto hop2 = [&](int t, int p) { return t == p ? std::size_t{0} : loads.hop2[at(t, p)]; };
+  // Every stage walks the non-empty payloads in (source, destination) order
+  // and each payload's chunks in chunk order. For a fixed stream that
+  // visits its chunks in the order the stream holds them, so one cursor
+  // per stream places or finds every chunk.
+  auto for_each_relayed_chunk = [&](const auto& f) {
+    for (int v = 0; v < n; ++v) {
+      for (int p = 0; p < n; ++p) {
+        const std::size_t len = full(v, p).size_bits();
+        if (len == 0) continue;
+        RelayChunkWalk(len, n).for_each_chunk([&](int c, std::size_t lo, std::size_t clen) {
+          f(v, p, relay_of_chunk(v, p, c, n), lo, clen);
+        });
+      }
+    }
+  };
+  // One hop: sender a's lane streams cross into receiver b's lane at the
+  // same offsets.
+  auto ship = [&net](Lanes& out, Lanes& in, std::size_t max_len, const auto& len) {
+    return stream_rounds(
+        net, max_len, len,
+        [&](int a, int b, std::size_t offset, std::size_t take, Message& slot) {
+          slot.append_slice(out.lane(a), out.start(a, b) + offset, take);
+        },
+        [&](int b, int a, std::size_t offset, const Message& piece) {
+          in.lane(b).write_slice(in.start(b, a) + offset, piece, 0, piece.size_bits());
+        });
   };
 
-  // Hop 1: source v ships to relay t its payloads' relay-t chunks (chunk
-  // index rotated per pair — see relay_chunk_index), concatenated in
-  // destination order. The t == v chunks stay local (v is its own relay),
-  // so the diagonal is left empty.
-  std::vector<std::vector<Message>> h1(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  for (int v = 0; v < n; ++v) {
-    for (int t = 0; t < n; ++t) {
-      if (t == v) continue;
-      Message& out = h1[static_cast<std::size_t>(v)][static_cast<std::size_t>(t)];
-      for (int p = 0; p < n; ++p) {
-        if (p == v) continue;
-        const Message& full = payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)];
-        const int c = relay_chunk_index(v, p, t, n);
-        const std::size_t clen = chunk_len(full.size_bits(), c);
-        if (clen != 0) out.append_slice(full, relay_chunk_lo(full.size_bits(), c, n), clen);
-      }
-    }
-  }
-  std::vector<std::vector<Message>> recv1;
-  const int rounds1 = unicast_payloads(net, h1, &recv1);
+  // Hop 1: source v's stream to relay t holds the chunks relay t carries,
+  // in destination order. The chunks v relays itself stay local.
+  Lanes out1(n, hop1);
+  for_each_relayed_chunk([&](int v, int p, int t, std::size_t lo, std::size_t clen) {
+    if (t != v) out1.put(v, t, full(v, p), lo, clen);
+  });
+  Lanes in1(n, [&](int t, int v) { return hop1(v, t); });
+  const int rounds1 = ship(out1, in1, loads.max1, hop1);
 
-  // Relay stage (local): every relay t re-groups the chunks it holds by
-  // final destination, again in source order. Chunk positions inside the
-  // incoming streams are recomputed from the globally known lengths.
-  // hold[t] collects the chunks whose destination is t itself — the
-  // "t -> t stream" that never crosses the network.
-  std::vector<std::vector<Message>> h2(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  std::vector<Message> hold(static_cast<std::size_t>(n));
-  for (int t = 0; t < n; ++t) {
-    for (int v = 0; v < n; ++v) {
-      if (v == t) {
-        // Own chunks: read straight from the source payloads.
-        for (int p = 0; p < n; ++p) {
-          if (p == t) continue;
-          const Message& full = payload[static_cast<std::size_t>(t)][static_cast<std::size_t>(p)];
-          const int c = relay_chunk_index(t, p, t, n);
-          const std::size_t clen = chunk_len(full.size_bits(), c);
-          if (clen != 0) {
-            h2[static_cast<std::size_t>(t)][static_cast<std::size_t>(p)].append_slice(
-                full, relay_chunk_lo(full.size_bits(), c, n), clen);
-          }
-        }
-        continue;
-      }
-      const Message& src = recv1[static_cast<std::size_t>(t)][static_cast<std::size_t>(v)];
-      std::size_t cur = 0;
-      for (int p = 0; p < n; ++p) {
-        if (p == v) continue;
-        const std::size_t clen = chunk_len(
-            payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)].size_bits(),
-            relay_chunk_index(v, p, t, n));
-        if (clen == 0) continue;
-        Message& out = p == t ? hold[static_cast<std::size_t>(t)]
-                              : h2[static_cast<std::size_t>(t)][static_cast<std::size_t>(p)];
-        out.append_slice(src, cur, clen);
-        cur += clen;
-      }
+  // Relay stage (local): relay t re-groups the chunks it holds by final
+  // destination, in source order — its own chunks straight from its
+  // payloads, the rest from the incoming hop-1 streams. Stream (t, t) of
+  // out2 is the hold: chunks whose destination is t itself, which never
+  // cross the network.
+  Lanes out2(n, [&](int t, int p) { return loads.hop2[at(t, p)]; });
+  for_each_relayed_chunk([&](int v, int p, int t, std::size_t lo, std::size_t clen) {
+    if (t == v) {
+      out2.put(t, p, full(v, p), lo, clen);
+    } else {
+      out2.put(t, p, in1.lane(t), in1.next(t, v, clen), clen);
     }
-  }
-  std::vector<std::vector<Message>> recv2;
-  const int rounds2 = unicast_payloads(net, h2, &recv2);
+  });
+  Lanes in2(n, [&](int p, int t) { return hop2(t, p); });
+  const int rounds2 = ship(out2, in2, loads.max2, hop2);
 
-  // Reassembly: destination r splices each payload back together in chunk
-  // order (chunk c sits at relay t = c - v - r mod n); every relay's stream
-  // (and the local hold) is consumed in source order, so one cursor per
-  // relay suffices regardless of the per-payload chunk rotation.
-  received->assign(static_cast<std::size_t>(n),
-                   std::vector<Message>(static_cast<std::size_t>(n)));
-  for (int r = 0; r < n; ++r) {
-    std::vector<std::size_t> cur(static_cast<std::size_t>(n), 0);
-    for (int v = 0; v < n; ++v) {
-      if (v == r) continue;
-      const std::size_t len =
-          payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(r)].size_bits();
-      Message& out = (*received)[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)];
-      out.reserve_bits(len);
-      for (int c = 0; c < n; ++c) {
-        const std::size_t clen = chunk_len(len, c);
-        if (clen == 0) continue;
-        const int t = ((c - v - r) % n + n) % n;  // inverse of relay_chunk_index
-        const Message& src = t == r ? hold[static_cast<std::size_t>(r)]
-                                    : recv2[static_cast<std::size_t>(r)][static_cast<std::size_t>(t)];
-        out.append_slice(src, cur[static_cast<std::size_t>(t)], clen);
-        cur[static_cast<std::size_t>(t)] += clen;
-      }
-    }
-  }
+  // Reassembly: destination p splices each payload back together in chunk
+  // order, from relay t's stream (or its own hold when t == p).
+  out2.rewind();
+  received->assign(nn, std::vector<Message>(nn));
+  for_each_relayed_chunk([&](int v, int p, int t, std::size_t /*lo*/, std::size_t clen) {
+    Message& out = (*received)[static_cast<std::size_t>(p)][static_cast<std::size_t>(v)];
+    if (out.empty()) out.reserve_bits(full(v, p).size_bits());
+    Lanes& src = t == p ? out2 : in2;
+    out.append_slice(src.lane(p), src.next(p, t, clen), clen);
+  });
   return rounds1 + rounds2;
 }
 

@@ -10,6 +10,9 @@
 // arena-backed round_fill path performs O(1) heap allocations per round.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -104,32 +107,151 @@ int unicast_payloads(CliqueUnicast& net,
                      const std::vector<std::vector<Message>>& payload,
                      std::vector<std::vector<Message>>* received);
 
-/// The n-way balanced split used by the relayed delivery below: chunk c of a
-/// len-bit payload is bits [len*c/n, len*(c+1)/n) — all n chunks differ in
-/// size by at most one bit. Exposed so protocols (core/algebraic_mm) can
-/// predict the relayed round schedule exactly from a length matrix alone.
-inline std::size_t relay_chunk_lo(std::size_t len, int c, int n) {
-  return len * static_cast<std::size_t>(c) / static_cast<std::size_t>(n);
+/// The relay's chunk map: the n-way balanced split of a len-bit payload that
+/// the relayed delivery below ships, one chunk per relay. Chunk c covers bits
+/// [⌊len·c/n⌋, ⌊len·(c+1)/n⌋), so with q = ⌊len/n⌋ and r = len mod n it is q
+/// bits long, plus one extra bit exactly at c_k = ⌈k·n/r⌉ − 1 for k = 1..r
+/// (DESIGN.md §2.2). Both walks below step Bresenham-style, with no division
+/// per chunk. This one walk is the whole relay schedule: the executor
+/// (unicast_payloads_relayed) cuts and splices streams with it, and the cost
+/// side (relay_link_loads, core/block_mm.h relay_cost) prices the same
+/// chunks in closed form, so the two cannot drift apart.
+class RelayChunkWalk {
+ public:
+  /// Preconditions: n >= 1.
+  RelayChunkWalk(std::size_t len, int n)
+      : n_(static_cast<std::size_t>(n)), base_(len / n_), rem_(len % n_) {}
+
+  /// ⌊len/n⌋: the length every chunk has at least.
+  std::size_t base() const { return base_; }
+
+  /// Calls f(c) for each of the r chunks one bit longer than base(), in
+  /// increasing c: c_k = ⌈k·n/r⌉ − 1 = ⌊(k·n − 1)/r⌋, stepped by n per k.
+  template <typename F>
+  void for_each_extra(F&& f) const {
+    if (rem_ == 0) return;
+    const std::size_t step = n_ / rem_, step_rem = n_ % rem_;
+    std::size_t c = (n_ - 1) / rem_, acc = (n_ - 1) % rem_;
+    for (std::size_t k = 0; k < rem_; ++k) {
+      f(static_cast<int>(c));
+      c += step;
+      acc += step_rem;
+      if (acc >= rem_) {
+        acc -= rem_;
+        ++c;
+      }
+    }
+  }
+
+  /// Calls f(c, lo, clen) for every non-empty chunk in increasing c: bits
+  /// [lo, lo + clen) of the payload. Below n bits only the r one-bit extra
+  /// chunks are visited.
+  template <typename F>
+  void for_each_chunk(F&& f) const {
+    if (base_ == 0) {
+      std::size_t lo = 0;
+      for_each_extra([&](int c) { f(c, lo++, std::size_t{1}); });
+      return;
+    }
+    // acc = r·c mod n; chunk c gains the extra bit when r·(c+1) crosses the
+    // next multiple of n.
+    std::size_t lo = 0, acc = 0;
+    for (std::size_t c = 0; c < n_; ++c) {
+      std::size_t clen = base_;
+      acc += rem_;
+      if (acc >= n_) {
+        acc -= n_;
+        ++clen;
+      }
+      f(static_cast<int>(c), lo, clen);
+      lo += clen;
+    }
+  }
+
+ private:
+  std::size_t n_;
+  std::size_t base_;
+  std::size_t rem_;
+};
+
+/// The relay that carries chunk c of the (v -> p) payload: t = c − v − p
+/// mod n. The one-bit-heavier extra chunks of equal-length payloads sit at
+/// the same chunk indices, so an identity map would pile them all onto the
+/// same relays (measurably: ~4x the ideal hop load for the MM distribution
+/// phase); rotating the map by (v + p) spreads them across relays. All
+/// three arguments lie in [0, n), so two conditional adds replace the mod.
+inline int relay_of_chunk(int v, int p, int c, int n) {
+  int t = c - v - p;
+  if (t < 0) t += n;
+  if (t < 0) t += n;
+  return t;
 }
 
-/// Which chunk of the (v -> p) payload relay t carries. The one-bit-heavier
-/// remainder chunks of equal-length payloads sit at the same chunk indices,
-/// so an identity map would pile them all onto the same relays (measurably:
-/// ~4x the ideal hop load for the MM distribution phase); rotating the map
-/// by (v + p) spreads them across relays.
-inline int relay_chunk_index(int v, int p, int t, int n) {
-  return (t + v + p) % n;
+/// Per-link bit loads of both relay hops for a length matrix, in closed
+/// form, with the per-hop maxima and the total that price a delivery. Link
+/// (v, t) of hop 1 carries Σ_p ⌊len(v,p)/n⌋ plus one bit per extra chunk of
+/// a v-payload that relay t carries; link (t, p) of hop 2 likewise with
+/// Σ_v ⌊len(v,p)/n⌋. Visits only non-empty payloads and their extra
+/// chunks: O(n² + Σ len mod n). Diagonal entries are the chunks that
+/// never cross the network (hop1[v·n+v]: chunks v relays itself;
+/// hop2[p·n+p]: chunks relay p holds for itself). Self-payloads (v == p)
+/// are ignored.
+struct RelayLinkLoads {
+  std::vector<std::size_t> hop1;  ///< hop1[v * n + t]: source v -> relay t
+  std::vector<std::size_t> hop2;  ///< hop2[t * n + p]: relay t -> destination p
+  std::size_t max1 = 0;           ///< heaviest network link of hop 1
+  std::size_t max2 = 0;           ///< heaviest network link of hop 2
+  std::uint64_t bits = 0;         ///< bits crossing the network, both hops
+};
+
+/// `len(v, p)` returns the (v -> p) payload length in bits.
+template <typename LenFn>
+RelayLinkLoads relay_link_loads(int n, LenFn&& len) {
+  const std::size_t nn = static_cast<std::size_t>(n);
+  RelayLinkLoads out;
+  out.hop1.assign(nn * nn, 0);
+  out.hop2.assign(nn * nn, 0);
+  std::vector<std::size_t> base1(nn, 0), base2(nn, 0);
+  for (int v = 0; v < n; ++v) {
+    for (int p = 0; p < n; ++p) {
+      if (p == v) continue;
+      const std::size_t l = len(v, p);
+      if (l == 0) continue;
+      const RelayChunkWalk walk(l, n);
+      base1[static_cast<std::size_t>(v)] += walk.base();
+      base2[static_cast<std::size_t>(p)] += walk.base();
+      walk.for_each_extra([&](int c) {
+        const std::size_t t = static_cast<std::size_t>(relay_of_chunk(v, p, c, n));
+        ++out.hop1[static_cast<std::size_t>(v) * nn + t];
+        ++out.hop2[t * nn + static_cast<std::size_t>(p)];
+      });
+    }
+  }
+  for (std::size_t a = 0; a < nn; ++a) {
+    for (std::size_t b = 0; b < nn; ++b) {
+      const std::size_t l1 = out.hop1[a * nn + b] += base1[a];
+      const std::size_t l2 = out.hop2[a * nn + b] += base2[b];
+      if (a == b) continue;  // diagonal chunks never cross the network
+      out.max1 = std::max(out.max1, l1);
+      out.max2 = std::max(out.max2, l2);
+      out.bits += l1 + l2;
+    }
+  }
+  return out;
 }
 
 /// Delivers a payload matrix through the deterministic two-hop relay
 /// schedule (oblivious Valiant-style balancing; the same idea as the
 /// message-level router of DESIGN.md §4a, lifted to bit streams): every
-/// payload is split into n near-equal chunks by relay_chunk_lo, chunk t
-/// travels source -> relay t -> destination, and each hop is a plain
-/// unicast_payloads call. Per-edge load per hop is therefore
-/// ~(per-player total)/n instead of the largest single payload, which is
-/// what turns the skewed block-distribution demand of the algebraic MM
-/// protocol into its O(n^{1/3}) round bound.
+/// payload is split into n near-equal chunks by RelayChunkWalk, chunk c
+/// travels source -> relay relay_of_chunk(v, p, c) -> destination. Each
+/// hop ships one stream per link, the link's chunks back to back, in the
+/// same round loop and per-round slices as unicast_payloads. A player's
+/// streams for a hop sit in one buffer sized from relay_link_loads, not in
+/// n separate messages. Per-edge load per hop is therefore ~(per-player
+/// total)/n instead of the largest single payload, which is what turns the
+/// skewed block-distribution demand of the algebraic MM protocol into its
+/// O(n^{1/3}) round bound.
 ///
 /// Contract: the *length* matrix of `payload` must be globally known (a
 /// data-independent function of the protocol's parameters, never of input
@@ -142,11 +264,12 @@ inline int relay_chunk_index(int v, int p, int t, int n) {
 /// <= ceil(M/n) + (payload count) remainder bits, so the delivery takes
 /// ~2·ceil(M/(n·b)) rounds versus direct chunking's ceil(max single
 /// payload / b) — the skew-flattening the block-MM protocols ride
-/// (DESIGN.md §2.2/§2.4). Exact costs are replayable from the length
-/// matrix alone (see relay_chunk_lo / core/block_mm.h), which is how the
-/// *_plan functions predict rounds and bits without running the protocol.
-/// Non-uniform payload widths (including zero-length pairs) are fine; the
-/// widths just must not depend on input data.
+/// (DESIGN.md §2.2/§2.4). Exact costs follow from the length matrix alone:
+/// hop h takes ceil(relay_link_loads max_h / b) rounds, and the delivery
+/// carries relay_link_loads bits in total. That is how the *_plan
+/// functions predict rounds and bits without running the protocol. Non-uniform payload
+/// widths (including zero-length pairs) are fine; the widths just must not
+/// depend on input data.
 int unicast_payloads_relayed(CliqueUnicast& net,
                              const std::vector<std::vector<Message>>& payload,
                              std::vector<std::vector<Message>>* received);

@@ -176,7 +176,7 @@ AlgebraicCountResult four_cycle_count_algebraic(CliqueUnicast& net, const Graph&
     out.used_sparse =
         backend == CountBackend::kSparse || sparse_backend_preferred(splan);
     if (out.used_sparse) {
-      out.sparse_mm = sparse_mm_m61(net, sa, sa, &a2);
+      out.sparse_mm = sparse_mm_m61(net, sa, sa, &a2, profile, splan);
       mm_rounds = out.sparse_mm.total_rounds;
     } else {
       // kAuto chose dense: the decision itself consumed the announcement,

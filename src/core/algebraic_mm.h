@@ -62,6 +62,7 @@ struct AlgebraicMmPlan {
   int aggregate_rounds = 0;   ///< partial-sum delivery (two relay hops)
   int total_rounds = 0;
   std::uint64_t total_bits = 0;           ///< exact network bits, both phases
+  std::uint64_t aggregate_bits = 0;       ///< the aggregation phase's share of total_bits
   std::uint64_t max_player_send_bits = 0; ///< heaviest per-player payload load (pre-relay)
   /// Asymptotic reference the measured series is printed against:
   /// 6 · n^{1/3} · w / b (three per-player loads of ~2n^{4/3}w bits, each

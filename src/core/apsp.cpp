@@ -217,7 +217,7 @@ ApspSparseResult apsp_run_sparse(CliqueUnicast& net, const Graph& g,
     step.dense_bits = plan.dense_bits;
     TropicalMat next;
     if (sparse_backend_preferred(plan)) {
-      const SparseMmResult r = sparse_min_plus_mm(net, cur, cur, &next);
+      const SparseMmResult r = sparse_min_plus_mm(net, cur, cur, &next, profile, plan);
       step.used_sparse = true;
       step.planned_bits = r.plan.total_bits;
     } else {

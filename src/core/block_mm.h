@@ -8,7 +8,7 @@
 // Nothing in the decomposition, the relay schedule, or the plan accounting
 // depends on the *algebra* — only on (n, element width w, bandwidth b). This
 // header factors the geometry (BlockGrid), the data-independent length
-// matrices and relay cost replay, and the generic protocol driver
+// matrices and their closed-form relay cost, and the generic executor
 // (run_block_mm) out of algebraic_mm.cpp so the min-plus/APSP workload
 // (core/apsp) runs the identical schedule over the tropical semiring.
 //
@@ -197,8 +197,11 @@ inline LengthMatrix aggregate_lengths(const BlockGrid& g, int w) {
   return aggregate_lengths(g, w, RowShardLayout());
 }
 
-/// Cost of shipping a length matrix through unicast_payloads_relayed:
-/// replays the relay's chunk arithmetic (relay_chunk_lo) on lengths alone.
+/// Cost of shipping a length matrix through unicast_payloads_relayed, in
+/// closed form: the per-link loads come from relay_link_loads, the same
+/// chunk walk the executor cuts its streams with (comm/clique_unicast.h), so
+/// each link carries Σ⌊l/n⌋ plus its count of extra-bit chunks. Each hop
+/// takes ceil(heaviest link / b) rounds; bits are the sum over all links.
 struct RelayCost {
   int rounds = 0;
   std::uint64_t bits = 0;
@@ -206,42 +209,13 @@ struct RelayCost {
 
 inline RelayCost relay_cost(const LengthMatrix& len, int n, int bandwidth) {
   oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("relay_cost"));
+  const RelayLinkLoads loads = relay_link_loads(n, [&len](int v, int p) {
+    return len[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)];
+  });
   const std::size_t b = static_cast<std::size_t>(bandwidth);
-  auto chunk = [n](std::size_t l, int c) {
-    return relay_chunk_lo(l, c + 1, n) - relay_chunk_lo(l, c, n);
-  };
   RelayCost out;
-  std::size_t max1 = 0, max2 = 0;
-  // Hop 1: source v -> relay t carries chunk relay_chunk_index(v, p, t) of
-  // each of v's payloads.
-  for (int v = 0; v < n; ++v) {
-    for (int t = 0; t < n; ++t) {
-      if (t == v) continue;
-      std::size_t sum = 0;
-      for (int p = 0; p < n; ++p) {
-        if (p == v) continue;
-        sum += chunk(len[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)],
-                     relay_chunk_index(v, p, t, n));
-      }
-      max1 = std::max(max1, sum);
-      out.bits += sum;
-    }
-  }
-  // Hop 2: relay t -> destination p carries the same chunks of p's payloads.
-  for (int t = 0; t < n; ++t) {
-    for (int p = 0; p < n; ++p) {
-      if (p == t) continue;
-      std::size_t sum = 0;
-      for (int v = 0; v < n; ++v) {
-        if (v == p) continue;
-        sum += chunk(len[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)],
-                     relay_chunk_index(v, p, t, n));
-      }
-      max2 = std::max(max2, sum);
-      out.bits += sum;
-    }
-  }
-  out.rounds = static_cast<int>(ceil_div(max1, b) + ceil_div(max2, b));
+  out.rounds = static_cast<int>(ceil_div(loads.max1, b) + ceil_div(loads.max2, b));
+  out.bits = loads.bits;
   return out;
 }
 
@@ -430,6 +404,7 @@ void fill_plan_schedule(Plan* plan, int n, int word_bits, int bandwidth,
   plan->aggregate_rounds = ac.rounds;
   plan->total_rounds = dc.rounds + ac.rounds;
   plan->total_bits = dc.bits + ac.bits;
+  plan->aggregate_bits = ac.bits;
   plan->max_player_send_bits = 0;
   for (int v = 0; v < n; ++v) {
     std::uint64_t send = 0;

@@ -113,15 +113,15 @@ SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth,
   const blockmm::RelayCost dc = blockmm::relay_cost(dist, n, bandwidth);
 
   // Aggregation: dense widths (fill-in makes output structure unpriceable
-  // without a second announcement; see sparse_mm.h).
-  const blockmm::LengthMatrix agg = blockmm::aggregate_lengths(g, word_bits);
-  const blockmm::RelayCost ac = blockmm::relay_cost(agg, n, bandwidth);
+  // without a second announcement; see sparse_mm.h) — exactly the dense
+  // schedule's aggregation phase, so it is priced once, by the dense plan.
+  const AlgebraicMmPlan dense = algebraic_mm_plan(n, word_bits, bandwidth);
 
   plan.distribute_rounds = dc.rounds;
-  plan.aggregate_rounds = ac.rounds;
-  plan.total_rounds = plan.announce_rounds + dc.rounds + ac.rounds;
-  plan.total_bits = plan.announce_bits + dc.bits + ac.bits;
-  plan.dense_bits = algebraic_mm_plan(n, word_bits, bandwidth).total_bits;
+  plan.aggregate_rounds = dense.aggregate_rounds;
+  plan.total_rounds = plan.announce_rounds + dc.rounds + dense.aggregate_rounds;
+  plan.total_bits = plan.announce_bits + dc.bits + dense.aggregate_bits;
+  plan.dense_bits = dense.total_bits;
   return plan;
 }
 
@@ -208,16 +208,27 @@ struct SparseTropicalOps {
 SparseMmResult sparse_mm_m61(CliqueUnicast& net, const Csr61& a, const Csr61& b,
                              Mat61* c) {
   const SparseNnzProfile profile = declared_nnz_profile(a, b);
-  const SparseMmPlan plan =
-      sparse_mm_plan(a.n(), /*word_bits=*/61, net.bandwidth(), profile);
+  return sparse_mm_m61(net, a, b, c, profile,
+                       sparse_mm_plan(a.n(), /*word_bits=*/61, net.bandwidth(), profile));
+}
+
+SparseMmResult sparse_mm_m61(CliqueUnicast& net, const Csr61& a, const Csr61& b,
+                             Mat61* c, const SparseNnzProfile& profile,
+                             const SparseMmPlan& plan) {
   return run_sparse_mm<SparseM61Ops>(net, a, b, c, profile, plan);
 }
 
 SparseMmResult sparse_min_plus_mm(CliqueUnicast& net, const Csr61& a,
                                   const Csr61& b, TropicalMat* c) {
   const SparseNnzProfile profile = declared_nnz_profile(a, b);
-  const SparseMmPlan plan =
-      sparse_mm_plan(a.n(), /*word_bits=*/61, net.bandwidth(), profile);
+  return sparse_min_plus_mm(net, a, b, c, profile,
+                            sparse_mm_plan(a.n(), /*word_bits=*/61, net.bandwidth(), profile));
+}
+
+SparseMmResult sparse_min_plus_mm(CliqueUnicast& net, const Csr61& a,
+                                  const Csr61& b, TropicalMat* c,
+                                  const SparseNnzProfile& profile,
+                                  const SparseMmPlan& plan) {
   return run_sparse_mm<SparseTropicalOps>(net, a, b, c, profile, plan);
 }
 

@@ -334,9 +334,26 @@ SparseMmResult run_sparse_mm(CliqueUnicast& net, const Csr61& a, const Csr61& b,
 SparseMmResult sparse_mm_m61(CliqueUnicast& net, const Csr61& a, const Csr61& b,
                              Mat61* c);
 
+/// As above, on a profile and plan the caller already holds — the adaptive
+/// callers (apsp_run_sparse, four_cycle_count_algebraic) price the crossover
+/// first and run the product on that same plan instead of pricing it twice.
+/// Preconditions: profile == declared_nnz_profile(a, b) and plan ==
+/// sparse_mm_plan(n, 61, net.bandwidth(), profile); the run CC_CHECKs its
+/// measured cost against `plan`.
+SparseMmResult sparse_mm_m61(CliqueUnicast& net, const Csr61& a, const Csr61& b,
+                             Mat61* c, const SparseNnzProfile& profile,
+                             const SparseMmPlan& plan);
+
 /// Sparse distributed distance product over (min, +); both operands
 /// kTropical. The sparse twin of min_plus_mm.
 SparseMmResult sparse_min_plus_mm(CliqueUnicast& net, const Csr61& a,
                                   const Csr61& b, TropicalMat* c);
+
+/// sparse_min_plus_mm on a profile and plan already in hand (preconditions
+/// as for the sparse_mm_m61 overload above).
+SparseMmResult sparse_min_plus_mm(CliqueUnicast& net, const Csr61& a,
+                                  const Csr61& b, TropicalMat* c,
+                                  const SparseNnzProfile& profile,
+                                  const SparseMmPlan& plan);
 
 }  // namespace cclique

@@ -157,16 +157,28 @@ class BitVec {
   /// Appends all bits of `other`.
   void append(const BitVec& other) { append_slice(other, 0, other.nbits_); }
 
-  /// Appends `len` bits of `src` starting at bit `pos` (word-at-a-time; the
-  /// hot path of the chunked payload helpers).
+  /// Appends `len` bits of `src` starting at bit `pos`: one range check,
+  /// one grow, then a word-level shift loop (the hot path of the chunked
+  /// payload helpers and the relay).
   void append_slice(const BitVec& src, std::size_t pos, std::size_t len) {
-    CC_REQUIRE(pos + len <= src.nbits_, "append_slice out of range");
-    std::size_t done = 0;
-    while (done < len) {
-      const int take = static_cast<int>(len - done < 64 ? len - done : 64);
-      push_uint(src.read_uint(pos + done, take), take);
-      done += static_cast<std::size_t>(take);
-    }
+    CC_REQUIRE(pos <= src.nbits_ && len <= src.nbits_ - pos,
+               "append_slice out of range");
+    if (len == 0) return;
+    grow_for(len);
+    // Fetched after grow_for: src may be *this.
+    copy_bits(mutable_word_data(), nbits_, src.word_data(), pos, len, /*fresh=*/true);
+    nbits_ += len;
+  }
+
+  /// Overwrites bits [at, at + len) with `len` bits of `src` starting at
+  /// bit `pos`; the length is unchanged. Requires at + len <= size_bits().
+  /// Lets a stream buffer sized up front be filled out of order.
+  void write_slice(std::size_t at, const BitVec& src, std::size_t pos, std::size_t len) {
+    CC_REQUIRE(pos <= src.nbits_ && len <= src.nbits_ - pos,
+               "write_slice source out of range");
+    CC_REQUIRE(at <= nbits_ && len <= nbits_ - at, "write_slice target out of range");
+    if (len == 0) return;
+    copy_bits(mutable_word_data(), at, src.word_data(), pos, len, /*fresh=*/false);
   }
 
   /// Extracts `width` bits starting at `pos` as an integer
@@ -214,6 +226,42 @@ class BitVec {
   const std::uint64_t* word_data() const { return ext_ != nullptr ? ext_ : words_.data(); }
   std::uint64_t* mutable_word_data() { return ext_ != nullptr ? ext_ : words_.data(); }
   std::size_t word_count() const { return (nbits_ + 63) / 64; }
+
+  /// Copies `len` >= 1 bits from bit `sp` of `s` to bit `dp` of `d`, 64 at
+  /// a time. With `fresh`, every destination bit at or above dp is known
+  /// zero or unused (the append case: grow_for's invariant below), so words
+  /// past the first are assigned whole; otherwise bits outside the target
+  /// range are preserved.
+  static void copy_bits(std::uint64_t* d, std::size_t dp, const std::uint64_t* s,
+                        std::size_t sp, std::size_t len, bool fresh) {
+    std::size_t dw = dp >> 6, sw = sp >> 6;
+    const int doff = static_cast<int>(dp & 63), soff = static_cast<int>(sp & 63);
+    for (std::size_t left = len; left > 0;) {
+      const int take = left < 64 ? static_cast<int>(left) : 64;
+      // The next `take` source bits, low-aligned.
+      std::uint64_t bits = s[sw] >> soff;
+      if (soff + take > 64) bits |= s[sw + 1] << (64 - soff);
+      const std::uint64_t mask = take < 64 ? (1ULL << take) - 1 : ~0ULL;
+      bits &= mask;
+      if (fresh) {
+        if (doff == 0) {
+          d[dw] = bits;
+        } else {
+          d[dw] |= bits << doff;
+          if (doff + take > 64) d[dw + 1] = bits >> (64 - doff);
+        }
+      } else {
+        d[dw] = (d[dw] & ~(mask << doff)) | (bits << doff);
+        if (doff + take > 64) {
+          const std::uint64_t hi = mask >> (64 - doff);
+          d[dw + 1] = (d[dw + 1] & ~hi) | (bits >> (64 - doff));
+        }
+      }
+      ++sw;
+      ++dw;
+      left -= static_cast<std::size_t>(take);
+    }
+  }
 
   /// Makes room for `extra` more bits. Invariant maintained by all writers:
   /// in the word holding position nbits_, every bit at or above nbits_&63 is

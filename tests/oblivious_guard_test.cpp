@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -240,8 +241,10 @@ TEST(ObliviousGuard, NofReductionInheritsBroadcastSink) {
   CliqueBroadcast net(n, 16);
   NofBlackboard board;
   const Mat61 payload = counting_matrix(n);
+  std::mutex board_mutex;  // broadcast callbacks may run concurrently (CC_THREADS)
   const auto leaky_reduction = [&](int i) {
     Message m = bits_of(0, 1 + static_cast<int>(payload.get(i, 0) % 3));
+    const std::lock_guard<std::mutex> lock(board_mutex);
     board.write(i, m);
     return m;
   };

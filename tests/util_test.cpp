@@ -65,6 +65,77 @@ TEST(BitVec, AppendConcatenates) {
   EXPECT_EQ(a.read_uint(4, 5), 9u);
 }
 
+// append_slice copies word-at-a-time; check it bit by bit against a
+// push_bit reference at unaligned source and destination offsets, into
+// owned and borrowed (arena-style) storage alike.
+TEST(BitVec, AppendSliceMatchesBitwiseReference) {
+  Rng rng(77);
+  BitVec src;
+  for (int i = 0; i < 400; ++i) src.push_bit(rng.coin());
+  for (std::size_t dst_off : {0, 1, 17, 63, 64, 65}) {
+    for (std::size_t src_off : {0, 1, 31, 64, 70, 127}) {
+      for (std::size_t len : {0, 1, 63, 64, 65, 200}) {
+        BitVec want;
+        BitVec owned;
+        std::vector<std::uint64_t> storage(8, ~0ULL);  // garbage the writer must not leak
+        BitVec borrowed = BitVec::borrow(storage.data(), 512);
+        for (std::size_t i = 0; i < dst_off; ++i) {
+          const bool bit = rng.coin();
+          want.push_bit(bit);
+          owned.push_bit(bit);
+          borrowed.push_bit(bit);
+        }
+        for (std::size_t i = 0; i < len; ++i) want.push_bit(src.get(src_off + i));
+        owned.append_slice(src, src_off, len);
+        borrowed.append_slice(src, src_off, len);
+        EXPECT_EQ(owned, want) << dst_off << "/" << src_off << "/" << len;
+        EXPECT_EQ(borrowed, want) << dst_off << "/" << src_off << "/" << len;
+        // Later appends must see clean high bits in the tail word.
+        owned.push_uint(0, 7);
+        borrowed.push_uint(0, 7);
+        want.push_uint(0, 7);
+        EXPECT_EQ(owned, want);
+        EXPECT_EQ(borrowed, want);
+      }
+    }
+  }
+}
+
+TEST(BitVec, AppendSliceRangeAndCapacityChecks) {
+  BitVec src(100);
+  BitVec dst;
+  EXPECT_THROW(dst.append_slice(src, 90, 11), PreconditionError);
+  EXPECT_THROW(dst.append_slice(src, 101, 0), PreconditionError);
+  std::vector<std::uint64_t> storage(2, 0);
+  BitVec borrowed = BitVec::borrow(storage.data(), 70);
+  borrowed.append_slice(src, 3, 65);
+  EXPECT_THROW(borrowed.append_slice(src, 0, 6), ModelViolation);
+  EXPECT_EQ(borrowed.size_bits(), 65u);
+  borrowed.append_slice(src, 0, 5);
+  EXPECT_EQ(borrowed.size_bits(), 70u);
+}
+
+TEST(BitVec, WriteSliceOverwritesOnlyTheTargetRange) {
+  Rng rng(78);
+  BitVec src;
+  for (int i = 0; i < 300; ++i) src.push_bit(rng.coin());
+  for (std::size_t at : {0, 1, 37, 63, 64, 100}) {
+    for (std::size_t src_off : {0, 5, 64, 99}) {
+      for (std::size_t len : {0, 1, 63, 64, 65, 150}) {
+        BitVec dst;
+        for (int i = 0; i < 260; ++i) dst.push_bit(rng.coin());
+        BitVec want = dst;
+        for (std::size_t i = 0; i < len; ++i) want.set(at + i, src.get(src_off + i));
+        dst.write_slice(at, src, src_off, len);
+        EXPECT_EQ(dst, want) << at << "/" << src_off << "/" << len;
+      }
+    }
+  }
+  BitVec dst(10);
+  EXPECT_THROW(dst.write_slice(5, src, 0, 6), PreconditionError);
+  EXPECT_THROW(dst.write_slice(0, src, 299, 2), PreconditionError);
+}
+
 TEST(BitVec, SetClearsAndSets) {
   BitVec v(128);
   v.set(100, true);
