@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
 
   // --- Density sweep at fixed n: one sparse product vs the dense plan.
   // Every row's measured rounds/bits are CC_CHECKed against the declared-
-  // profile plan inside run_sparse_mm; here we surface the crossover the
+  // profile plan inside run_block_mm; here we surface the crossover the
   // backends below decide by. "sparse/dense" < 1 means the sparse branch
   // wins even after paying its announcement.
   const int n = 125;

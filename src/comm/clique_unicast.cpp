@@ -225,6 +225,43 @@ int unicast_payloads(CliqueUnicast& net,
       });
 }
 
+int all_gather(CliqueUnicast& net, int k, int width,
+               const std::function<std::uint64_t(int v, int f)>& value) {
+  const int n = net.n();
+  const std::size_t nn = static_cast<std::size_t>(n);
+  std::vector<std::vector<Message>> payload(nn, std::vector<Message>(nn));
+  for (int v = 0; v < n; ++v) {
+    Message msg;
+    for (int f = 0; f < k; ++f) msg.push_uint(value(v, f), width);
+    for (int j = 0; j < n; ++j) {
+      if (j != v) payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(j)] = msg;
+    }
+  }
+  std::vector<std::vector<Message>> recv;
+  const int rounds = unicast_payloads(net, payload, &recv);
+  for (int v = 1; v < n; ++v) {
+    const Message& msg = recv[0][static_cast<std::size_t>(v)];
+    for (int f = 0; f < k; ++f) {
+      CC_CHECK(msg.read_uint(static_cast<std::size_t>(f) * static_cast<std::size_t>(width),
+                             width) == value(v, f),
+               "all-gather corrupted a value");
+    }
+  }
+  return rounds;
+}
+
+ExchangeCost all_gather_cost(int n, std::size_t bits, int bandwidth) {
+  CC_REQUIRE(n >= 1, "need at least one player");
+  CC_REQUIRE(bandwidth >= 1, "bandwidth must be positive");
+  ExchangeCost out;
+  if (n < 2) return out;
+  out.rounds = static_cast<int>((bits + static_cast<std::size_t>(bandwidth) - 1) /
+                                static_cast<std::size_t>(bandwidth));
+  out.bits = static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n - 1) *
+             static_cast<std::uint64_t>(bits);
+  return out;
+}
+
 int unicast_payloads_relayed(CliqueUnicast& net,
                              const std::vector<std::vector<Message>>& payload,
                              std::vector<std::vector<Message>>* received) {

@@ -107,6 +107,27 @@ int unicast_payloads(CliqueUnicast& net,
                      const std::vector<std::vector<Message>>& payload,
                      std::vector<std::vector<Message>>* received);
 
+/// Rounds and network bits of one metered exchange.
+struct ExchangeCost {
+  int rounds = 0;
+  std::uint64_t bits = 0;
+};
+
+/// All-gather: every player v sends the same k fields of `width` bits,
+/// value(v, 0), ..., value(v, k-1), to every other player, so all the values
+/// become common knowledge. One unicast_payloads exchange of a k·width-bit
+/// message per ordered pair; player 0's inbox is CC_CHECKed against `value`
+/// (a cheap representative of the clique-wide agreement). Returns the rounds
+/// used, all_gather_cost(n, k·width, b).rounds. Preconditions: k >= 0,
+/// width in [1, 64], value(v, f) < 2^width.
+int all_gather(CliqueUnicast& net, int k, int width,
+               const std::function<std::uint64_t(int v, int f)>& value);
+
+/// Cost of an all-gather of `bits`-bit messages among n players at per-edge
+/// bandwidth b: ceil(bits / b) rounds and n(n-1)·bits network bits (nothing
+/// moves on a 1-clique).
+ExchangeCost all_gather_cost(int n, std::size_t bits, int bandwidth);
+
 /// The relay's chunk map: the n-way balanced split of a len-bit payload that
 /// the relayed delivery below ships, one chunk per relay. Chunk c covers bits
 /// [⌊len·c/n⌋, ⌊len·(c+1)/n⌋), so with q = ⌊len/n⌋ and r = len mod n it is q

@@ -5,17 +5,14 @@
 #include "analysis/locality_guard.h"
 #include "analysis/oblivious_guard.h"
 #include "core/block_mm.h"
-#include "linalg/kernels.h"
-#include "util/math_util.h"
 
 namespace cclique {
 
 namespace {
 
-/// Ring adapters: everything run_block_mm needs from an element type.
-/// Elements travel as word_bits-wide fields (push_uint/read_uint
-/// round-trip); Matrix(n) is the all-zero matrix — the additive identity
-/// both rings pad blocks with.
+/// GF(2) adapter for the dense encoding (F_{2^61-1} uses blockmm::M61Ops).
+/// Elements travel as 1-bit fields; Matrix(n) is the all-zero matrix, the
+/// additive identity blocks are padded with.
 struct F2Ops {
   using Matrix = F2Matrix;
   static constexpr int kWordBits = 1;
@@ -29,20 +26,6 @@ struct F2Ops {
   }
 };
 
-struct M61Ops {
-  using Matrix = Mat61;
-  static constexpr int kWordBits = 61;
-  static std::uint64_t get(const Matrix& m, int i, int j) { return m.get(i, j); }
-  static void set(Matrix& m, int i, int j, std::uint64_t v) { m.set(i, j, v); }
-  static void accumulate(Matrix& m, int i, int j, std::uint64_t v) { m.add_at(i, j, v); }
-  static Matrix multiply(const Matrix& a, const Matrix& b) {
-    // Local compute between metered phases: the kernel/thread choice (the
-    // CC_KERNEL / CC_THREADS knobs) changes wall-clock only, never the
-    // product values or any CommStats counter.
-    return m61_multiply_dispatch(a, b);
-  }
-};
-
 template <typename Ops>
 AlgebraicMmResult run_mm(CliqueUnicast& net, const typename Ops::Matrix& a,
                          const typename Ops::Matrix& b, typename Ops::Matrix* c) {
@@ -51,42 +34,17 @@ AlgebraicMmResult run_mm(CliqueUnicast& net, const typename Ops::Matrix& a,
   return blockmm::run_block_mm<Ops, AlgebraicMmResult>(net, a, b, c, plan);
 }
 
-/// Shares a tuple of 61-bit local partials per player with everyone (the
-/// clique-wide sum exchange ending both counting protocols) and sums each
+/// All-gathers a tuple of 61-bit local partials per player (the
+/// clique-wide sum exchange ending the counting protocols) and sums each
 /// field mod p into *totals. Returns the rounds used.
 int share_partials(CliqueUnicast& net, const std::vector<std::vector<std::uint64_t>>& fields,
                    std::vector<std::uint64_t>* totals) {
-  const int n = net.n();
-  const std::size_t nf = fields.size();
-  std::vector<std::vector<Message>> payload(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  for (int v = 0; v < n; ++v) {
-    Message m;
-    for (std::size_t f = 0; f < nf; ++f) m.push_uint(fields[f][static_cast<std::size_t>(v)], 61);
-    for (int j = 0; j < n; ++j) {
-      if (j == v) continue;
-      payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(j)] = m;
-    }
-  }
-  std::vector<std::vector<Message>> recv;
-  const int rounds = unicast_payloads(net, payload, &recv);
-  totals->assign(nf, 0);
-  for (std::size_t f = 0; f < nf; ++f) {
-    for (int v = 0; v < n; ++v) {
-      (*totals)[f] = Mersenne61::add((*totals)[f], fields[f][static_cast<std::size_t>(v)]);
-    }
-  }
-  // Every player can reproduce the same totals from its inbox; the check
-  // below asserts the exchange actually delivered the fields intact for
-  // player 0 (cheap representative of the clique-wide agreement).
-  if (n > 1) {
-    for (int v = 1; v < n; ++v) {
-      const Message& m = recv[0][static_cast<std::size_t>(v)];
-      for (std::size_t f = 0; f < nf; ++f) {
-        CC_CHECK(m.read_uint(f * 61, 61) == fields[f][static_cast<std::size_t>(v)],
-                 "partial-sum exchange corrupted a field");
-      }
-    }
+  const int rounds = all_gather(net, static_cast<int>(fields.size()), 61, [&](int v, int f) {
+    return fields[static_cast<std::size_t>(f)][static_cast<std::size_t>(v)];
+  });
+  totals->assign(fields.size(), 0);
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    for (const std::uint64_t x : fields[f]) (*totals)[f] = Mersenne61::add((*totals)[f], x);
   }
   return rounds;
 }
@@ -98,7 +56,7 @@ AlgebraicMmPlan algebraic_mm_plan(int n, int word_bits, int bandwidth) {
   // (n, w, b) alone, and the guard proves no payload read sneaks in.
   oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("algebraic_mm_plan"));
   AlgebraicMmPlan plan;
-  blockmm::fill_plan_schedule(&plan, n, word_bits, bandwidth);
+  blockmm::fill_plan_schedule(&plan, n, word_bits, bandwidth, blockmm::RowShardLayout());
   return plan;
 }
 
@@ -109,7 +67,7 @@ AlgebraicMmResult algebraic_mm_f2(CliqueUnicast& net, const F2Matrix& a,
 
 AlgebraicMmResult algebraic_mm_m61(CliqueUnicast& net, const Mat61& a,
                                    const Mat61& b, Mat61* c) {
-  return run_mm<M61Ops>(net, a, b, c);
+  return run_mm<blockmm::M61Ops>(net, a, b, c);
 }
 
 AlgebraicMmPlan sharded_mm_plan(int n, int word_bits, int bandwidth,
@@ -124,9 +82,8 @@ AlgebraicMmResult algebraic_mm_m61_sharded(CliqueUnicast& net, const Mat61& a,
                                            const Mat61& b, Mat61* c,
                                            const blockmm::ShardLayout& layout) {
   const AlgebraicMmPlan plan =
-      sharded_mm_plan(a.n(), M61Ops::kWordBits, net.bandwidth(), layout);
-  return blockmm::run_block_mm<M61Ops, AlgebraicMmResult>(net, a, b, c, plan,
-                                                          layout);
+      sharded_mm_plan(a.n(), blockmm::M61Ops::kWordBits, net.bandwidth(), layout);
+  return blockmm::run_block_mm<blockmm::M61Ops, AlgebraicMmResult>(net, a, b, c, plan, layout);
 }
 
 AlgebraicCountResult triangle_count_algebraic(CliqueUnicast& net, const Graph& g) {
@@ -182,6 +139,8 @@ AlgebraicCountResult four_cycle_count_algebraic(CliqueUnicast& net, const Graph&
       // kAuto chose dense: the decision itself consumed the announcement,
       // then the oblivious schedule runs unchanged.
       out.announce_rounds = run_nnz_announcement(net, profile, splan.count_bits);
+      CC_CHECK(out.announce_rounds == splan.announce_rounds,
+               "nnz announcement left the planned schedule");
       out.mm = algebraic_mm_m61(net, a, a, &a2);
       mm_rounds = out.announce_rounds + out.mm.total_rounds;
     }
@@ -229,16 +188,11 @@ CountingArtifactPlan counting_artifacts_plan(int n, int bandwidth) {
   CountingArtifactPlan plan;
   plan.n = n;
   plan.product = algebraic_mm_plan(n, /*word_bits=*/61, bandwidth);
-  // One 4-field 61-bit message per ordered pair, chunked like every
-  // unicast_payloads exchange (nothing to share on a 1-clique).
-  plan.share_rounds =
-      n >= 2 ? static_cast<int>(ceil_div(4 * 61, static_cast<std::uint64_t>(bandwidth)))
-             : 0;
+  // One all-gather of the four 61-bit fields.
+  const ExchangeCost share = all_gather_cost(n, 4 * 61, bandwidth);
+  plan.share_rounds = share.rounds;
   plan.total_rounds = plan.product.total_rounds + plan.share_rounds;
-  plan.total_bits =
-      plan.product.total_bits +
-      (n >= 2 ? static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n - 1) * 4 * 61u
-              : 0u);
+  plan.total_bits = plan.product.total_bits + share.bits;
   return plan;
 }
 

@@ -9,33 +9,14 @@
 #include "analysis/oblivious_guard.h"
 #include "core/block_mm.h"
 #include "core/sparse_mm.h"
-#include "linalg/kernels.h"
-#include "util/math_util.h"
 
 namespace cclique {
 
 namespace {
 
-/// Tropical-semiring adapters for the shared block-MM driver. Both kernels
-/// serialize elements as 61-bit words (kTropicalInf = all-ones round-trips
-/// through push_uint/read_uint unchanged) and pad blocks with
-/// TropicalMat(n)'s all-+inf fill — the semiring zero, so padding never
-/// changes a product entry.
-struct TropicalOpsBlocked {
-  using Matrix = TropicalMat;
-  static constexpr int kWordBits = 61;
-  static std::uint64_t get(const Matrix& m, int i, int j) { return m.get(i, j); }
-  static void set(Matrix& m, int i, int j, std::uint64_t v) { m.set(i, j, v); }
-  static void accumulate(Matrix& m, int i, int j, std::uint64_t v) { m.min_at(i, j, v); }
-  static Matrix multiply(const Matrix& a, const Matrix& b) {
-    // Local compute between metered phases: the kernel/thread choice (the
-    // CC_KERNEL / CC_THREADS knobs) changes wall-clock only, never the
-    // product values or any CommStats counter.
-    return tropical_multiply_dispatch(a, b);
-  }
-};
-
-struct TropicalOpsSchoolbook : TropicalOpsBlocked {
+/// The reference-kernel variant of the tropical adapter, for the
+/// TropicalKernel::kSchoolbook ablation.
+struct TropicalOpsSchoolbook : blockmm::TropicalOps {
   static Matrix multiply(const Matrix& a, const Matrix& b) {
     return tropical_multiply_schoolbook(a, b);
   }
@@ -60,15 +41,12 @@ ApspPlan apsp_plan(int n, int bandwidth) {
   plan.n = n;
   plan.squarings = n >= 2 ? ceil_log2(static_cast<std::uint64_t>(n) - 1) : 0;
   plan.product = algebraic_mm_plan(n, /*word_bits=*/61, bandwidth);
-  // The eccentricity exchange ships one 61-bit value per ordered pair in
-  // ceil(61 / b) chunked rounds (nothing to exchange on a 1-clique).
-  plan.ecc_rounds =
-      n >= 2 ? static_cast<int>(ceil_div(61, static_cast<std::uint64_t>(bandwidth))) : 0;
+  // The eccentricity exchange is one all-gather of a 61-bit value.
+  const ExchangeCost ecc = all_gather_cost(n, 61, bandwidth);
+  plan.ecc_rounds = ecc.rounds;
   plan.total_rounds = plan.squarings * plan.product.total_rounds + plan.ecc_rounds;
   plan.total_bits =
-      static_cast<std::uint64_t>(plan.squarings) * plan.product.total_bits +
-      (n >= 2 ? static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n - 1) * 61u
-              : 0u);
+      static_cast<std::uint64_t>(plan.squarings) * plan.product.total_bits + ecc.bits;
   plan.series_rounds =
       plan.product.series_rounds * static_cast<double>(ceil_log2(static_cast<std::uint64_t>(n)));
   return plan;
@@ -84,7 +62,7 @@ MinPlusResult run_product(CliqueUnicast& net, const TropicalMat& a,
   if (kernel == TropicalKernel::kSchoolbook) {
     return blockmm::run_block_mm<TropicalOpsSchoolbook, MinPlusResult>(net, a, b, c, plan);
   }
-  return blockmm::run_block_mm<TropicalOpsBlocked, MinPlusResult>(net, a, b, c, plan);
+  return blockmm::run_block_mm<blockmm::TropicalOps, MinPlusResult>(net, a, b, c, plan);
 }
 
 }  // namespace
@@ -101,8 +79,7 @@ MinPlusResult min_plus_mm_sharded(CliqueUnicast& net, const TropicalMat& a,
                                   const blockmm::ShardLayout& layout) {
   const AlgebraicMmPlan plan =
       sharded_mm_plan(a.n(), /*word_bits=*/61, net.bandwidth(), layout);
-  return blockmm::run_block_mm<TropicalOpsBlocked, MinPlusResult>(net, a, b, c,
-                                                                  plan, layout);
+  return blockmm::run_block_mm<blockmm::TropicalOps, MinPlusResult>(net, a, b, c, plan, layout);
 }
 
 ApspResult apsp_run(CliqueUnicast& net, const Graph& g,
@@ -143,9 +120,9 @@ ApspResult apsp_run(CliqueUnicast& net, const Graph& g,
   }
 
   // ---- Eccentricity spectrum: player v derives ecc[v] = max_u d(v, u)
-  // from its own distance row, then a one-shot 61-bit all-to-all exchange
-  // makes the spectrum (hence diameter and radius) common knowledge — the
-  // same closing shape as the counting protocols' partial-sum share.
+  // from its own distance row, then a 61-bit all-gather makes the spectrum
+  // (hence diameter and radius) common knowledge — the same closing shape
+  // as the counting protocols' partial-sum share.
   // Each value is player-private (ownership-tagged) until the exchange
   // below hands it off into the common-knowledge result struct.
   locality::PerPlayer<std::uint64_t> ecc(
@@ -155,26 +132,8 @@ ApspResult apsp_run(CliqueUnicast& net, const Graph& g,
     for (int u = 0; u < n; ++u) e = std::max(e, out.dist.get(v, u));
     ecc[v] = e;
   }
-  std::vector<std::vector<Message>> payload(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  for (int v = 0; v < n; ++v) {
-    for (int j = 0; j < n; ++j) {
-      if (j == v) continue;
-      payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(j)].push_uint(ecc[v], 61);
-    }
-  }
-  std::vector<std::vector<Message>> recv;
-  out.ecc_rounds = unicast_payloads(net, payload, &recv);
+  out.ecc_rounds = all_gather(net, 1, 61, [&ecc](int v, int /*f*/) { return ecc[v]; });
   out.eccentricity = ecc.take();
-  if (n > 1) {
-    // Player 0's inbox must reproduce the spectrum (cheap representative of
-    // the clique-wide agreement, as in share_partials).
-    for (int v = 1; v < n; ++v) {
-      CC_CHECK(recv[0][static_cast<std::size_t>(v)].read_uint(0, 61) ==
-                   out.eccentricity[static_cast<std::size_t>(v)],
-               "eccentricity exchange corrupted a value");
-    }
-  }
   out.diameter = *std::max_element(out.eccentricity.begin(), out.eccentricity.end());
   out.radius = *std::min_element(out.eccentricity.begin(), out.eccentricity.end());
 
@@ -208,6 +167,7 @@ ApspSparseResult apsp_run_sparse(CliqueUnicast& net, const Graph& g,
     // this round's explicit structure, so the crossover is priced against
     // the *current* fill, not the input graph's.
     const int step_rounds_before = net.stats().rounds;
+    const std::uint64_t step_bits_before = net.stats().total_bits;
     const Csr61 cur = Csr61::from_dense(out.dist);
     const SparseNnzProfile profile = declared_nnz_profile(cur, cur);
     const SparseMmPlan plan =
@@ -217,15 +177,21 @@ ApspSparseResult apsp_run_sparse(CliqueUnicast& net, const Graph& g,
     step.dense_bits = plan.dense_bits;
     TropicalMat next;
     if (sparse_backend_preferred(plan)) {
-      const SparseMmResult r = sparse_min_plus_mm(net, cur, cur, &next, profile, plan);
+      sparse_min_plus_mm(net, cur, cur, &next, profile, plan);
       step.used_sparse = true;
-      step.planned_bits = r.plan.total_bits;
+      step.planned_rounds = plan.total_rounds;
+      step.planned_bits = plan.total_bits;
     } else {
-      run_nnz_announcement(net, profile, plan.count_bits);
+      CC_CHECK(run_nnz_announcement(net, profile, plan.count_bits) == plan.announce_rounds,
+               "nnz announcement left the planned schedule");
       const MinPlusResult r = min_plus_mm(net, out.dist, out.dist, &next);
+      step.planned_rounds = plan.announce_rounds + r.plan.total_rounds;
       step.planned_bits = plan.announce_bits + r.plan.total_bits;
     }
     step.rounds = net.stats().rounds - step_rounds_before;
+    step.bits = net.stats().total_bits - step_bits_before;
+    CC_CHECK(step.rounds == step.planned_rounds && step.bits == step.planned_bits,
+             "APSP squaring left its planned schedule");
     out.dist = std::move(next);
     out.steps.push_back(step);
   }

@@ -22,10 +22,10 @@
 //    *same* globally-known length matrix — payload sizes depend on (n, w)
 //    only, never on weights — so apsp_plan is just `squarings` copies of
 //    the product schedule plus one eccentricity exchange;
-//  * derived queries: per-vertex eccentricities (a one-shot 61-bit
-//    all-to-all exchange, like the counting protocols' partial-sum share),
-//    and from them diameter and radius, all exact and +infinity-aware
-//    (disconnected inputs yield infinite eccentricities).
+//  * derived queries: per-vertex eccentricities (a 61-bit all-gather, like
+//    the counting protocols' partial-sum share), and from them diameter and
+//    radius, all exact and +infinity-aware (disconnected inputs yield
+//    infinite eccentricities).
 //
 // The protocol CC_CHECKs measured rounds and bits against apsp_plan on
 // every run, the same contract as algebraic_mm_plan / mst_phase_plan.
@@ -57,7 +57,7 @@ struct ApspPlan {
   int n = 0;
   int squarings = 0;      ///< ⌈log2(n-1)⌉ for n >= 2, else 0
   AlgebraicMmPlan product;  ///< per-squaring schedule (word_bits = 61)
-  int ecc_rounds = 0;     ///< final 61-bit eccentricity all-to-all exchange
+  int ecc_rounds = 0;     ///< final 61-bit eccentricity all-gather
   int total_rounds = 0;   ///< squarings * product.total_rounds + ecc_rounds
   std::uint64_t total_bits = 0;
   /// Asymptotic reference the measured series is printed against:
@@ -137,9 +137,11 @@ ApspResult apsp_run(CliqueUnicast& net, const Graph& g,
 struct ApspSparseStep {
   bool used_sparse = false;      ///< which branch the crossover picked
   std::uint64_t declared_nnz = 0;  ///< finite entries of D_s (the profile's a_nnz)
+  int planned_rounds = 0;          ///< chosen branch's planned rounds (announcement included)
   std::uint64_t planned_bits = 0;  ///< chosen branch's planned bits (announcement included)
   std::uint64_t dense_bits = 0;    ///< the oblivious schedule's bits, for reference
-  int rounds = 0;                  ///< measured rounds of this squaring
+  int rounds = 0;                  ///< measured rounds of this squaring; equals planned_rounds
+  std::uint64_t bits = 0;          ///< measured bits of this squaring; equals planned_bits
 };
 
 /// Outcome of the adaptive sparse APSP run (distances only — the
@@ -158,9 +160,10 @@ struct ApspSparseResult {
 /// matrices *densify* as powers close the graph's transitive closure, so a
 /// typical sparse input starts on the sparse branch and crosses to dense
 /// once fill-in wins. Distances are identical to apsp_run's; every product
-/// is still CC_CHECKed against its own (dense or sparse) plan, and the
-/// dense branch additionally pays the announcement that made the decision
-/// common knowledge.
+/// is still CC_CHECKed against its own (dense or sparse) plan, the dense
+/// branch additionally pays the announcement that made the decision common
+/// knowledge, and every squaring's measured rounds and bits are CC_CHECKed
+/// against its step's plan, announcement included.
 ApspSparseResult apsp_run_sparse(CliqueUnicast& net, const Graph& g,
                                  const std::vector<std::uint32_t>& weights);
 

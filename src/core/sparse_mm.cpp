@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "core/algebraic_mm.h"
-#include "linalg/kernels.h"
 
 namespace cclique {
 
@@ -75,42 +74,25 @@ SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth,
   plan.a_nnz = profile.a_nnz;
   plan.b_nnz = profile.b_nnz;
 
-  // Announcement: one identical 2m-count message per ordered pair.
-  const std::size_t announce_len =
-      2 * static_cast<std::size_t>(m) * static_cast<std::size_t>(plan.count_bits);
-  if (n >= 2) {
-    plan.announce_rounds = static_cast<int>(
-        ceil_div(announce_len, static_cast<std::size_t>(bandwidth)));
-    plan.announce_bits = static_cast<std::uint64_t>(n) *
-                         static_cast<std::uint64_t>(n - 1) *
-                         static_cast<std::uint64_t>(announce_len);
-  }
+  // Announcement: one all-gather of 2m counts per player.
+  const ExchangeCost announce = all_gather_cost(
+      n, 2 * static_cast<std::size_t>(m) * static_cast<std::size_t>(plan.count_bits), bandwidth);
+  plan.announce_rounds = announce.rounds;
+  plan.announce_bits = announce.bits;
 
-  // Distribution: row owner v ships, per triple (i, j, k) it serves, its
-  // declared count of (index, value) pairs — index_bits + w bits each.
+  // Distribution: row owner v ships each slice it serves as its declared
+  // count of (index, value) pairs, index_bits + w bits each.
   const std::size_t pair_bits =
       static_cast<std::size_t>(plan.index_bits + word_bits);
   blockmm::LengthMatrix dist(
       static_cast<std::size_t>(n),
       std::vector<std::size_t>(static_cast<std::size_t>(n), 0));
-  for (int p = 0; p < g.triples(); ++p) {
-    const int i = g.ti(p), j = g.tj(p), k = g.tk(p);
-    for (int v = g.lo(i); v < g.hi(i); ++v) {
-      if (v == p) continue;
-      dist[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)] +=
-          profile.a_block_nnz[static_cast<std::size_t>(v) * static_cast<std::size_t>(m) +
-                              static_cast<std::size_t>(k)] *
-          pair_bits;
-    }
-    for (int v = g.lo(k); v < g.hi(k); ++v) {
-      if (v == p) continue;
-      dist[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)] +=
-          profile.b_block_nnz[static_cast<std::size_t>(v) * static_cast<std::size_t>(m) +
-                              static_cast<std::size_t>(j)] *
-          pair_bits;
-    }
-  }
-  const blockmm::RelayCost dc = blockmm::relay_cost(dist, n, bandwidth);
+  blockmm::for_each_operand_slice(g, [&](const blockmm::OperandSlice& s) {
+    if (s.row == s.p) return;
+    dist[static_cast<std::size_t>(s.row)][static_cast<std::size_t>(s.p)] +=
+        profile.slice_nnz(s) * pair_bits;
+  });
+  const ExchangeCost dc = blockmm::relay_cost(dist, n, bandwidth);
 
   // Aggregation: dense widths (fill-in makes output structure unpriceable
   // without a second announcement; see sparse_mm.h) — exactly the dense
@@ -127,80 +109,109 @@ SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth,
 
 int run_nnz_announcement(CliqueUnicast& net, const SparseNnzProfile& profile,
                          int count_bits) {
-  const int n = profile.n;
-  CC_REQUIRE(net.n() == n, "one player per matrix row");
-  const int m = profile.grid;
-  std::vector<std::vector<Message>> payload(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  for (int v = 0; v < n; ++v) {
-    Message msg;
-    for (int t = 0; t < m; ++t) {
-      msg.push_uint(profile.a_block_nnz[static_cast<std::size_t>(v) *
-                                            static_cast<std::size_t>(m) +
-                                        static_cast<std::size_t>(t)],
-                    count_bits);
-    }
-    for (int t = 0; t < m; ++t) {
-      msg.push_uint(profile.b_block_nnz[static_cast<std::size_t>(v) *
-                                            static_cast<std::size_t>(m) +
-                                        static_cast<std::size_t>(t)],
-                    count_bits);
-    }
-    for (int j = 0; j < n; ++j) {
-      if (j == v) continue;
-      payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(j)] = msg;
-    }
-  }
-  std::vector<std::vector<Message>> recv;
-  const int rounds = unicast_payloads(net, payload, &recv);
-  // Player 0's inbox must reproduce the declared profile (cheap
-  // representative of the clique-wide agreement, as in share_partials).
-  for (int v = 1; v < n; ++v) {
-    const Message& msg = recv[0][static_cast<std::size_t>(v)];
-    for (int t = 0; t < 2 * m; ++t) {
-      const std::size_t declared =
-          t < m ? profile.a_block_nnz[static_cast<std::size_t>(v) *
-                                          static_cast<std::size_t>(m) +
-                                      static_cast<std::size_t>(t)]
-                : profile.b_block_nnz[static_cast<std::size_t>(v) *
-                                          static_cast<std::size_t>(m) +
-                                      static_cast<std::size_t>(t - m)];
-      CC_CHECK(msg.read_uint(static_cast<std::size_t>(t) *
-                                 static_cast<std::size_t>(count_bits),
-                             count_bits) == declared,
-               "nnz announcement corrupted a count");
-    }
-  }
-  return rounds;
+  CC_REQUIRE(net.n() == profile.n, "one player per matrix row");
+  const std::size_t m = static_cast<std::size_t>(profile.grid);
+  return all_gather(net, 2 * profile.grid, count_bits, [&](int v, int f) {
+    const std::size_t row = static_cast<std::size_t>(v) * m;
+    const std::size_t t = static_cast<std::size_t>(f);
+    return static_cast<std::uint64_t>(t < m ? profile.a_block_nnz[row + t]
+                                            : profile.b_block_nnz[row + t - m]);
+  });
 }
 
 namespace {
 
-/// Sparse-Ops adapters: the dense block-MM adapters plus the ring tag and
-/// the sparse·dense local kernel (linalg/kernels.h dispatch — CC_KERNEL /
-/// CC_THREADS change wall-clock only, never values or CommStats).
-struct SparseM61Ops {
-  using Matrix = Mat61;
-  static constexpr int kWordBits = 61;
-  static constexpr SparseRing kRing = SparseRing::kM61;
-  static std::uint64_t get(const Matrix& m, int i, int j) { return m.get(i, j); }
-  static void set(Matrix& m, int i, int j, std::uint64_t v) { m.set(i, j, v); }
-  static void accumulate(Matrix& m, int i, int j, std::uint64_t v) { m.add_at(i, j, v); }
-  static Matrix spmm(const Csr61& a, const Matrix& b) {
-    return m61_spmm_dispatch(a, b);
-  }
-};
+/// The sparse payload encoding of blockmm::run_block_mm (core/block_mm.h):
+/// the row owner ships each slice's explicit entries as (local column
+/// index, value) pairs, index_bits + w bits each, in CSR column order. The
+/// pre-phase announces the declared profile, whose counts bound every read;
+/// the triple multiplies its A block, as CSR, by its dense B block
+/// (Ops::spmm). Operands and output are row-owned.
+template <typename OpsT>
+class SparseEncoding {
+ public:
+  using Ops = OpsT;
+  using Matrix = typename Ops::Matrix;
 
-struct SparseTropicalOps {
-  using Matrix = TropicalMat;
-  static constexpr int kWordBits = 61;
-  static constexpr SparseRing kRing = SparseRing::kTropical;
-  static std::uint64_t get(const Matrix& m, int i, int j) { return m.get(i, j); }
-  static void set(Matrix& m, int i, int j, std::uint64_t v) { m.set(i, j, v); }
-  static void accumulate(Matrix& m, int i, int j, std::uint64_t v) { m.min_at(i, j, v); }
-  static Matrix spmm(const Csr61& a, const Matrix& b) {
-    return tropical_spmm_dispatch(a, b);
+  SparseEncoding(const Csr61& a, const Csr61& b, const SparseNnzProfile& profile,
+                 const SparseMmPlan& plan)
+      : a_(a), b_(b), profile_(profile), plan_(plan) {
+    CC_REQUIRE(b.n() == a.n(), "size mismatch");
+    CC_REQUIRE(a.ring() == Ops::kRing && b.ring() == Ops::kRing,
+               "CSR ring does not match the Ops carrier");
+    CC_REQUIRE(profile.n == a.n() && plan.n == a.n(), "profile/plan built for another n");
   }
+
+  int n() const { return a_.n(); }
+  const blockmm::ShardLayout& layout() const { return layout_; }
+
+  /// Makes the declared profile common knowledge.
+  int pre_phase(CliqueUnicast& net, SparseMmResult* res) const {
+    res->announce_rounds = run_nnz_announcement(net, profile_, plan_.count_bits);
+    return res->announce_rounds;
+  }
+
+  void encode(const blockmm::BlockGrid& g, const blockmm::OperandSlice& s,
+              blockmm::Payloads* payload) const {
+    if (s.row == s.p) return;  // the triple player reads its own row directly
+    Message& msg = (*payload)[static_cast<std::size_t>(s.row)][static_cast<std::size_t>(s.p)];
+    for_each_entry(g, s, [&](int col, std::uint64_t x) {
+      msg.push_uint(static_cast<std::uint64_t>(col), plan_.index_bits);
+      msg.push_uint(x, Ops::kWordBits);
+    });
+  }
+
+  /// Reads the declared count of pairs (or the local row) into the block.
+  void decode(const blockmm::BlockGrid& g, const blockmm::OperandSlice& s,
+              const std::vector<Message>& inbox, std::vector<std::size_t>* cur,
+              Matrix* blk) const {
+    const int index_bits = plan_.index_bits;
+    const std::size_t cnt = profile_.slice_nnz(s);
+    if (s.row == s.p) {
+      std::size_t found = 0;
+      for_each_entry(g, s, [&](int col, std::uint64_t x) {
+        Ops::set(*blk, s.local_row, col, x);
+        ++found;
+      });
+      CC_CHECK(found == cnt, "local row diverged from the declared profile");
+      return;
+    }
+    const Message& src = inbox[static_cast<std::size_t>(s.row)];
+    std::size_t& off = (*cur)[static_cast<std::size_t>(s.row)];
+    for (std::size_t t = 0; t < cnt; ++t) {
+      Ops::set(*blk, s.local_row, static_cast<int>(src.read_uint(off, index_bits)),
+               src.read_uint(off + static_cast<std::size_t>(index_bits), Ops::kWordBits));
+      off += static_cast<std::size_t>(index_bits + Ops::kWordBits);
+    }
+  }
+
+  /// The A block's explicit entries as CSR times the dense B block.
+  Matrix multiply(const Matrix& a_blk, const Matrix& b_blk) const {
+    return Ops::spmm(Csr61::from_dense(a_blk), b_blk);
+  }
+
+ private:
+  /// Calls f(local column, value) for slice s's explicit entries, in CSR
+  /// order. Executor-side CSR reads are sanctioned: source_touch is free
+  /// outside sinks — only *planning* on structure needs the declared
+  /// dependence.
+  template <typename F>
+  void for_each_entry(const blockmm::BlockGrid& g, const blockmm::OperandSlice& s, F&& f) const {
+    const Csr61& src = s.is_b ? b_ : a_;
+    const std::size_t* rp = src.row_ptr();
+    const int* cols = src.cols();
+    const std::uint64_t* vals = src.vals();
+    const int lo = g.lo(s.cols), hi = g.hi(s.cols);
+    for (std::size_t e = rp[s.row]; e < rp[s.row + 1]; ++e) {
+      if (cols[e] >= lo && cols[e] < hi) f(cols[e] - lo, vals[e]);
+    }
+  }
+
+  const Csr61& a_;
+  const Csr61& b_;
+  const SparseNnzProfile& profile_;
+  const SparseMmPlan& plan_;
+  blockmm::RowShardLayout layout_;
 };
 
 }  // namespace
@@ -215,7 +226,8 @@ SparseMmResult sparse_mm_m61(CliqueUnicast& net, const Csr61& a, const Csr61& b,
 SparseMmResult sparse_mm_m61(CliqueUnicast& net, const Csr61& a, const Csr61& b,
                              Mat61* c, const SparseNnzProfile& profile,
                              const SparseMmPlan& plan) {
-  return run_sparse_mm<SparseM61Ops>(net, a, b, c, profile, plan);
+  return blockmm::run_block_mm<SparseMmResult>(
+      net, SparseEncoding<blockmm::M61Ops>(a, b, profile, plan), c, plan);
 }
 
 SparseMmResult sparse_min_plus_mm(CliqueUnicast& net, const Csr61& a,
@@ -229,7 +241,8 @@ SparseMmResult sparse_min_plus_mm(CliqueUnicast& net, const Csr61& a,
                                   const Csr61& b, TropicalMat* c,
                                   const SparseNnzProfile& profile,
                                   const SparseMmPlan& plan) {
-  return run_sparse_mm<SparseTropicalOps>(net, a, b, c, profile, plan);
+  return blockmm::run_block_mm<SparseMmResult>(
+      net, SparseEncoding<blockmm::TropicalOps>(a, b, profile, plan), c, plan);
 }
 
 }  // namespace cclique

@@ -1,12 +1,14 @@
-// Sparse distributed matrix products: the nnz-dependent block-MM schedule.
+// Sparse distributed matrix products: the sparse payload encoding of the
+// block-MM executor.
 //
-// The dense schedule (core/algebraic_mm, core/block_mm.h) ships every block
-// entry at full width — Θ(n^{4/3} · w) bits per player regardless of the
-// input. On sparse operands almost all of that traffic carries the implicit
-// zero. This module runs the same [m]^3 decomposition and two-hop relay,
-// but each row owner ships only its *explicit* entries as (local-index,
-// value) pairs, so per-block payload lengths are proportional to the
-// declared nnz counts instead of the dense block widths.
+// The dense encoding (core/block_mm.h) ships every block entry at full
+// width — Θ(n^{4/3} · w) bits per player regardless of the input. On sparse
+// operands almost all of that traffic carries the implicit zero. The sparse
+// encoding runs the same executor (blockmm::run_block_mm: the same [m]^3
+// decomposition, slice walk, two-hop relay and aggregation), but each row
+// owner ships only its *explicit* entries as (local-index, value) pairs, so
+// per-block payload lengths are proportional to the declared nnz counts
+// instead of the dense block widths.
 //
 // That makes the schedule *data-dependent* — exactly what the oblivious
 // guard exists to police. The contract (DESIGN.md §2.7–2.8, following the
@@ -19,14 +21,14 @@
 //     CSR structure; the static analyzer (tools/cc_oblivious.py, check 5)
 //     enforces that any *_plan/*_profile body reading nnz structure names a
 //     declared dependence.
-//  2. The dependence is *announced*: the protocol's first phase broadcasts
+//  2. The dependence is *announced*: the encoding's pre-phase all-gathers
 //     every player's 2m per-block counts (count_bits each), so the relay's
 //     required globally-known length matrix really is common knowledge
 //     before any nnz-dependent payload moves — the profile is the protocol
 //     input, not a hidden oracle.
 //  3. The run is *checked*: sparse_mm_plan() prices all three phases
 //     (announce, distribute, aggregate) from (n, w, b) plus the declared
-//     profile, and run_sparse_mm CC_CHECKs measured rounds and bits against
+//     profile, and the executor CC_CHECKs measured rounds and bits against
 //     it on every run, like every other plan in the repo.
 //
 // Aggregation stays dense-width: the output's sparsity is fill-in dependent
@@ -41,13 +43,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/locality_guard.h"
-#include "analysis/oblivious_guard.h"
 #include "comm/clique_unicast.h"
 #include "core/block_mm.h"
 #include "linalg/sparse.h"
-#include "util/check.h"
-#include "util/math_util.h"
 
 namespace cclique {
 
@@ -55,8 +53,8 @@ namespace cclique {
 /// (row v, column block t) of the [m]-interval grid, how many explicit
 /// entries the row owner will ship. Plain integers — constructing one from
 /// CSR operands is the declared tainted->plain boundary
-/// (declared_nnz_profile); everything downstream (sparse_mm_plan,
-/// run_sparse_mm's decode loops) reads only this struct.
+/// (declared_nnz_profile); everything downstream (sparse_mm_plan, the
+/// sparse encoding's decode) reads only this struct.
 struct SparseNnzProfile {
   int n = 0;
   int grid = 0;  ///< m, matching blockmm::BlockGrid(n).m
@@ -66,6 +64,13 @@ struct SparseNnzProfile {
   std::vector<std::size_t> b_block_nnz;
   std::uint64_t a_nnz = 0;  ///< total explicit entries of A
   std::uint64_t b_nnz = 0;  ///< total explicit entries of B
+
+  /// The declared count of one operand slice's explicit entries.
+  std::size_t slice_nnz(const blockmm::OperandSlice& s) const {
+    const std::vector<std::size_t>& nnz = s.is_b ? b_block_nnz : a_block_nnz;
+    return nnz[static_cast<std::size_t>(s.row) * static_cast<std::size_t>(grid) +
+               static_cast<std::size_t>(s.cols)];
+  }
 };
 
 /// Buckets both operands' explicit entries by (row, column block) under an
@@ -120,7 +125,7 @@ struct SparseMmResult {
   std::uint64_t total_bits = 0;  ///< measured; equals plan.total_bits
 };
 
-/// The announcement phase on its own: every player broadcasts its 2m
+/// The announcement phase on its own: an all-gather of every player's 2m
 /// per-block counts (count_bits each, A counts then B counts) so the
 /// profile becomes common knowledge; player 0's inbox is CC_CHECKed against
 /// the profile. Returns the rounds used — ceil(2m * count_bits / b) for
@@ -129,204 +134,6 @@ struct SparseMmResult {
 /// schedule.
 int run_nnz_announcement(CliqueUnicast& net, const SparseNnzProfile& profile,
                          int count_bits);
-
-/// One sparse distributed product C = A ⊗ B. The Ops concept extends the
-/// dense block-MM adapters (core/algebraic_mm.cpp) with the sparse local
-/// kernel and its ring tag:
-///
-///   struct Ops {
-///     using Matrix = ...;                      // dense result carrier
-///     static constexpr int kWordBits;          // serialized bits per value
-///     static constexpr SparseRing kRing;       // CSR ring this Ops serves
-///     static std::uint64_t get(const Matrix&, int i, int j);
-///     static void set(Matrix&, int i, int j, std::uint64_t v);
-///     static void accumulate(Matrix&, int i, int j, std::uint64_t v);
-///     static Matrix spmm(const Csr61& a_blk, const Matrix& b_blk);
-///   };
-///
-/// Phases: announce counts; relay each owner's explicit (local-index,
-/// value) pairs per block (A pairs before B pairs per (owner, triple), CSR
-/// column order within each block — the decode order); local sparse·dense
-/// block products; dense-width aggregation identical to run_block_mm's
-/// row layout. Measured rounds/bits are CC_CHECKed against `plan`.
-template <typename Ops>
-SparseMmResult run_sparse_mm(CliqueUnicast& net, const Csr61& a, const Csr61& b,
-                             typename Ops::Matrix* c,
-                             const SparseNnzProfile& profile,
-                             const SparseMmPlan& plan) {
-  using Matrix = typename Ops::Matrix;
-  constexpr int w = Ops::kWordBits;
-  const int n = a.n();
-  CC_REQUIRE(net.n() == n, "one player per matrix row");
-  CC_REQUIRE(b.n() == n, "size mismatch");
-  CC_REQUIRE(c != nullptr, "output matrix required");
-  CC_REQUIRE(a.ring() == Ops::kRing && b.ring() == Ops::kRing,
-             "CSR ring does not match the Ops carrier");
-  CC_REQUIRE(profile.n == n && plan.n == n, "profile/plan built for another n");
-  const blockmm::BlockGrid g(n);
-  const int m = g.m;
-  const int index_bits = plan.index_bits;
-
-  SparseMmResult res;
-  res.plan = plan;
-  const int rounds_before = net.stats().rounds;
-  const std::uint64_t bits_before = net.stats().total_bits;
-
-  // ---- Phase 1: make the declared profile common knowledge.
-  res.announce_rounds = run_nnz_announcement(net, profile, plan.count_bits);
-
-  // ---- Phase 2: row owners relay their explicit entries per block.
-  // Executor-side CSR reads are sanctioned: source_touch is free outside
-  // sinks — only *planning* on structure needs the declared dependence.
-  const std::size_t* arp = a.row_ptr();
-  const int* acols = a.cols();
-  const std::uint64_t* avals = a.vals();
-  const std::size_t* brp = b.row_ptr();
-  const int* bcols = b.cols();
-  const std::uint64_t* bvals = b.vals();
-  std::vector<std::vector<Message>> payload(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  for (int p = 0; p < g.triples(); ++p) {
-    const int i = g.ti(p), j = g.tj(p), k = g.tk(p);
-    for (int v = g.lo(i); v < g.hi(i); ++v) {
-      if (v == p) continue;  // the triple player reads its own row directly
-      Message& msg = payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)];
-      for (std::size_t e = arp[v]; e < arp[v + 1]; ++e) {
-        if (acols[e] < g.lo(k) || acols[e] >= g.hi(k)) continue;
-        msg.push_uint(static_cast<std::uint64_t>(acols[e] - g.lo(k)), index_bits);
-        msg.push_uint(avals[e], w);
-      }
-    }
-    for (int v = g.lo(k); v < g.hi(k); ++v) {
-      if (v == p) continue;
-      Message& msg = payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)];
-      for (std::size_t e = brp[v]; e < brp[v + 1]; ++e) {
-        if (bcols[e] < g.lo(j) || bcols[e] >= g.hi(j)) continue;
-        msg.push_uint(static_cast<std::uint64_t>(bcols[e] - g.lo(j)), index_bits);
-        msg.push_uint(bvals[e], w);
-      }
-    }
-  }
-  std::vector<std::vector<Message>> recv;
-  res.distribute_rounds = unicast_payloads_relayed(net, payload, &recv);
-
-  // ---- Local sparse block products: each triple assembles its A block as
-  // a bs x bs CSR and its B block dense (padded with the semiring zero),
-  // then runs the sparse·dense kernel. Decode mirrors the build: announced
-  // counts bound every read, one sequential cursor per source owner.
-  locality::PerPlayer<Matrix> partial(
-      g.triples(), CC_LOCALITY_SITE("triple player's sparse block product"));
-  const std::size_t pair_bits = static_cast<std::size_t>(index_bits + w);
-  for (int p = 0; p < g.triples(); ++p) {
-    const int i = g.ti(p), j = g.tj(p), k = g.tk(p);
-    std::vector<std::size_t> cur(static_cast<std::size_t>(n), 0);
-    std::vector<std::size_t> row_ptr(static_cast<std::size_t>(g.bs) + 1, 0);
-    std::vector<int> cols;
-    std::vector<std::uint64_t> vals;
-    for (int v = g.lo(i); v < g.hi(i); ++v) {
-      const std::size_t cnt =
-          profile.a_block_nnz[static_cast<std::size_t>(v) * static_cast<std::size_t>(m) +
-                              static_cast<std::size_t>(k)];
-      if (v == p) {
-        std::size_t found = 0;
-        for (std::size_t e = arp[v]; e < arp[v + 1]; ++e) {
-          if (acols[e] < g.lo(k) || acols[e] >= g.hi(k)) continue;
-          cols.push_back(acols[e] - g.lo(k));
-          vals.push_back(avals[e]);
-          ++found;
-        }
-        CC_CHECK(found == cnt, "local row diverged from the declared profile");
-      } else {
-        const Message& src =
-            recv[static_cast<std::size_t>(p)][static_cast<std::size_t>(v)];
-        std::size_t& off = cur[static_cast<std::size_t>(v)];
-        for (std::size_t t = 0; t < cnt; ++t) {
-          cols.push_back(static_cast<int>(src.read_uint(off, index_bits)));
-          vals.push_back(src.read_uint(off + static_cast<std::size_t>(index_bits), w));
-          off += pair_bits;
-        }
-      }
-      row_ptr[static_cast<std::size_t>(v - g.lo(i)) + 1] = cols.size();
-    }
-    for (int r = g.len(i); r < g.bs; ++r) {
-      row_ptr[static_cast<std::size_t>(r) + 1] = cols.size();  // padding rows
-    }
-    const Csr61 ablk(g.bs, Ops::kRing, std::move(row_ptr), std::move(cols),
-                     std::move(vals));
-    Matrix bblk(g.bs);
-    for (int v = g.lo(k); v < g.hi(k); ++v) {
-      if (v == p) {
-        for (std::size_t e = brp[v]; e < brp[v + 1]; ++e) {
-          if (bcols[e] < g.lo(j) || bcols[e] >= g.hi(j)) continue;
-          Ops::set(bblk, v - g.lo(k), bcols[e] - g.lo(j), bvals[e]);
-        }
-      } else {
-        const std::size_t cnt =
-            profile.b_block_nnz[static_cast<std::size_t>(v) * static_cast<std::size_t>(m) +
-                                static_cast<std::size_t>(j)];
-        const Message& src =
-            recv[static_cast<std::size_t>(p)][static_cast<std::size_t>(v)];
-        std::size_t& off = cur[static_cast<std::size_t>(v)];
-        for (std::size_t t = 0; t < cnt; ++t) {
-          const int idx = static_cast<int>(src.read_uint(off, index_bits));
-          Ops::set(bblk, v - g.lo(k), idx,
-                   src.read_uint(off + static_cast<std::size_t>(index_bits), w));
-          off += pair_bits;
-        }
-      }
-    }
-    partial[p] = Ops::spmm(ablk, bblk);
-  }
-
-  // ---- Phase 3: dense-width aggregation, identical to run_block_mm's row
-  // layout (output sparsity is fill-in dependent and deliberately unpriced;
-  // see header comment).
-  std::vector<std::vector<Message>> payload2(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  for (int p = 0; p < g.triples(); ++p) {
-    const int i = g.ti(p), j = g.tj(p);
-    for (int r = g.lo(i); r < g.hi(i); ++r) {
-      if (r == p) continue;
-      Message& msg = payload2[static_cast<std::size_t>(p)][static_cast<std::size_t>(r)];
-      for (int t = 0; t < g.len(j); ++t) {
-        msg.push_uint(Ops::get(partial[p], r - g.lo(i), t), w);
-      }
-    }
-  }
-  std::vector<std::vector<Message>> recv2;
-  res.aggregate_rounds = unicast_payloads_relayed(net, payload2, &recv2);
-
-  *c = Matrix(n);
-  for (int p = 0; p < g.triples(); ++p) {
-    const int i = g.ti(p), j = g.tj(p);
-    for (int r = g.lo(i); r < g.hi(i); ++r) {
-      for (int t = 0; t < g.len(j); ++t) {
-        std::uint64_t v;
-        if (r == p) {
-          v = Ops::get(partial[p], r - g.lo(i), t);
-        } else {
-          const Message& src =
-              recv2[static_cast<std::size_t>(r)][static_cast<std::size_t>(p)];
-          v = src.read_uint(static_cast<std::size_t>(t) * static_cast<std::size_t>(w), w);
-        }
-        Ops::accumulate(*c, r, g.lo(j) + t, v);
-      }
-    }
-  }
-
-  res.total_rounds = net.stats().rounds - rounds_before;
-  res.total_bits = net.stats().total_bits - bits_before;
-  CC_CHECK(res.announce_rounds == plan.announce_rounds,
-           "announcement left the planned schedule");
-  CC_CHECK(res.total_rounds == res.announce_rounds + res.distribute_rounds +
-                                   res.aggregate_rounds,
-           "round accounting out of sync");
-  CC_CHECK(res.total_rounds == res.plan.total_rounds,
-           "sparse MM rounds diverged from the planned schedule");
-  CC_CHECK(res.total_bits == res.plan.total_bits,
-           "sparse MM bits diverged from the planned schedule");
-  return res;
-}
 
 /// Sparse distributed C = A·B over F_{2^61-1}: declares the profile, prices
 /// the plan at net.bandwidth(), and runs the three-phase schedule.

@@ -159,6 +159,28 @@ TEST(CliqueUnicast, PayloadHelperAllPairs) {
   }
 }
 
+TEST(CliqueUnicast, AllGatherCostMatchesMeasured) {
+  for (int n : {1, 2, 64}) {
+    for (int width : {1, 61, 64}) {
+      for (int b : {1, 8, 64}) {
+        const int k = 2;
+        // Distinct values that use the top bit of the field; all_gather
+        // CC_CHECKs player 0's inbox against them.
+        auto value = [width](int v, int f) {
+          const std::uint64_t x = 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(2 * v + f + 1);
+          return width == 64 ? x : x & ((1ULL << width) - 1);
+        };
+        CliqueUnicast net(n, b);
+        const int rounds = all_gather(net, k, width, value);
+        const ExchangeCost cost = all_gather_cost(n, static_cast<std::size_t>(k * width), b);
+        EXPECT_EQ(rounds, cost.rounds) << n << " " << width << " " << b;
+        EXPECT_EQ(net.stats().rounds, cost.rounds) << n << " " << width << " " << b;
+        EXPECT_EQ(net.stats().total_bits, cost.bits) << n << " " << width << " " << b;
+      }
+    }
+  }
+}
+
 TEST(CliqueBroadcast, BlackboardVisibleToAll) {
   CliqueBroadcast net(3, 8);
   const auto& board = net.round([&](int i) { return bits_of(static_cast<std::uint64_t>(i + 40), 8); });

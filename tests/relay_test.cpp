@@ -50,7 +50,7 @@ struct OracleLoads {
   std::size_t max1 = 0, max2 = 0;
   std::uint64_t bits = 0;
 
-  blockmm::RelayCost at(int bandwidth) const {
+  ExchangeCost at(int bandwidth) const {
     const std::size_t b = static_cast<std::size_t>(bandwidth);
     return {static_cast<int>(ceil_div(max1, b) + ceil_div(max2, b)), bits};
   }
@@ -254,8 +254,8 @@ TEST(RelayCost, ClosedFormMatchesReplayOnRandomLengths) {
       for (int rep = 0; rep < 3; ++rep) {
         const LengthMatrix len = random_lengths(n, regime, rng);
         const int b = 1 + static_cast<int>(rng.uniform(96));
-        const blockmm::RelayCost got = blockmm::relay_cost(len, n, b);
-        const blockmm::RelayCost want = oracle_loads(len, n).at(b);
+        const ExchangeCost got = blockmm::relay_cost(len, n, b);
+        const ExchangeCost want = oracle_loads(len, n).at(b);
         ASSERT_EQ(got.rounds, want.rounds) << "n=" << n << " b=" << b;
         ASSERT_EQ(got.bits, want.bits) << "n=" << n << " b=" << b;
         ++cases;
@@ -282,8 +282,8 @@ TEST_P(RelayCostBlockMm, ClosedFormMatchesReplay) {
                                     blockmm::aggregate_lengths(g, 61, *layout)}) {
       const OracleLoads oracle = oracle_loads(len, n);
       for (int b : {1, 64}) {
-        const blockmm::RelayCost got = blockmm::relay_cost(len, n, b);
-        const blockmm::RelayCost want = oracle.at(b);
+        const ExchangeCost got = blockmm::relay_cost(len, n, b);
+        const ExchangeCost want = oracle.at(b);
         EXPECT_EQ(got.rounds, want.rounds) << layout->name() << " b=" << b;
         EXPECT_EQ(got.bits, want.bits) << layout->name() << " b=" << b;
       }
@@ -311,7 +311,7 @@ void expect_relay_matches_replay(const LengthMatrix& len, int bandwidth, Rng& rn
   EXPECT_EQ(got, want);
   EXPECT_EQ(rounds, oracle_rounds);
   EXPECT_EQ(net.stats(), oracle_net.stats()) << "n=" << n << " b=" << bandwidth;
-  const blockmm::RelayCost cost = blockmm::relay_cost(len, n, bandwidth);
+  const ExchangeCost cost = blockmm::relay_cost(len, n, bandwidth);
   EXPECT_EQ(net.stats().rounds, cost.rounds);
   EXPECT_EQ(net.stats().total_bits, cost.bits);
 }

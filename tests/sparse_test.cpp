@@ -9,6 +9,7 @@
 // declared nnz dependence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -287,7 +288,7 @@ TEST(ShardLayout, BlockLayoutBalancesOwnership) {
 
 TEST(SparseMm, ProductMatchesDenseBothRings) {
   Rng rng(401);
-  for (int n : {5, 27, 64}) {
+  for (int n : {1, 2, 3, 5, 27, 64}) {
     const Mat61 a = sparse_random_m61(n, 0.08, rng);
     const Mat61 b = sparse_random_m61(n, 0.08, rng);
     CliqueUnicast net(n, 64);
@@ -353,6 +354,125 @@ TEST(SparseMm, MixedRingOperandsAreRejected) {
                PreconditionError);
 }
 
+// ---------------------------------------------------- operand slice walk
+
+/// Random operand whose rows are empty, full, or ~20% dense, at random.
+Mat61 mixed_rows_m61(int n, Rng& rng) {
+  Mat61 m(n);
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t kind = rng.uniform(3);  // 0: empty, 1: full, 2: sparse
+    for (int j = 0; j < n; ++j) {
+      if (kind == 1 || (kind == 2 && rng.uniform_double() < 0.2)) {
+        m.set(i, j, 1 + rng.uniform(1000));
+      }
+    }
+  }
+  return m;
+}
+
+/// The block grid by its definition: the largest m with m^3 <= n, and
+/// intervals of ceil(n / m) rows.
+struct OracleGrid {
+  int m = 1, bs = 1, n = 1;
+  explicit OracleGrid(int n_in) : n(n_in) {
+    while ((m + 1) * (m + 1) * (m + 1) <= n) ++m;
+    bs = (n + m - 1) / m;
+  }
+  int lo(int t) const { return t * bs; }
+  int hi(int t) const { return std::min(n, (t + 1) * bs); }
+};
+
+/// Distribution lengths by brute force: triple p = (i*m + j)*m + k gets
+/// from row owner v of I_i each explicit entry of A's row v inside K_k,
+/// and from row owner v of K_k each of B's row v inside J_j, as
+/// `pair_bits`-bit (index, value) pairs. Entries are counted by scanning
+/// the whole CSR row.
+blockmm::LengthMatrix brute_force_sparse_lengths(const Csr61& a, const Csr61& b,
+                                                 std::size_t pair_bits) {
+  const OracleGrid g(a.n());
+  blockmm::LengthMatrix len(static_cast<std::size_t>(g.n),
+                            std::vector<std::size_t>(static_cast<std::size_t>(g.n), 0));
+  auto add_row = [&](const Csr61& x, int v, int p, int t) {
+    if (v == p) return;
+    for (std::size_t e = x.row_ptr()[v]; e < x.row_ptr()[v + 1]; ++e) {
+      if (x.cols()[e] >= g.lo(t) && x.cols()[e] < g.hi(t)) {
+        len[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)] += pair_bits;
+      }
+    }
+  };
+  for (int i = 0; i < g.m; ++i) {
+    for (int j = 0; j < g.m; ++j) {
+      for (int k = 0; k < g.m; ++k) {
+        const int p = (i * g.m + j) * g.m + k;
+        for (int v = g.lo(i); v < g.hi(i); ++v) add_row(a, v, p, k);
+        for (int v = g.lo(k); v < g.hi(k); ++v) add_row(b, v, p, j);
+      }
+    }
+  }
+  return len;
+}
+
+/// Dense distribution lengths by brute force: every entry of I_i x K_k and
+/// K_k x J_j that triple p does not own costs w bits from its owner.
+blockmm::LengthMatrix brute_force_dense_lengths(int n, int w, const blockmm::ShardLayout& layout) {
+  const OracleGrid g(n);
+  blockmm::LengthMatrix len(static_cast<std::size_t>(n),
+                            std::vector<std::size_t>(static_cast<std::size_t>(n), 0));
+  auto add_block = [&](int p, int rows, int cols) {
+    for (int r = g.lo(rows); r < g.hi(rows); ++r) {
+      for (int c = g.lo(cols); c < g.hi(cols); ++c) {
+        const int v = layout.owner(r, c);
+        if (v != p) len[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)] += w;
+      }
+    }
+  };
+  for (int i = 0; i < g.m; ++i) {
+    for (int j = 0; j < g.m; ++j) {
+      for (int k = 0; k < g.m; ++k) {
+        const int p = (i * g.m + j) * g.m + k;
+        add_block(p, i, k);
+        add_block(p, k, j);
+      }
+    }
+  }
+  return len;
+}
+
+TEST(SliceWalk, DistributionLengthsMatchBruteForce) {
+  // n in [1, 40] covers m = 1 (n < 8), perfect cubes, and ragged last
+  // intervals; rows are empty, full, or sparse.
+  Rng rng(404);
+  for (int n = 1; n <= 40; ++n) {
+    const Mat61 da = mixed_rows_m61(n, rng), db = mixed_rows_m61(n, rng);
+    const Csr61 a = Csr61::from_dense(da), b = Csr61::from_dense(db);
+    const SparseNnzProfile profile = declared_nnz_profile(a, b);
+    for (int bw : {1, 7, 64}) {
+      const SparseMmPlan plan = sparse_mm_plan(n, 61, bw, profile);
+      const ExchangeCost want = blockmm::relay_cost(
+          brute_force_sparse_lengths(a, b, static_cast<std::size_t>(plan.index_bits + 61)), n,
+          bw);
+      EXPECT_EQ(plan.distribute_rounds, want.rounds) << "n=" << n << " b=" << bw;
+      EXPECT_EQ(plan.total_bits - plan.announce_bits - algebraic_mm_plan(n, 61, bw).aggregate_bits,
+                want.bits)
+          << "n=" << n << " b=" << bw;
+    }
+    // The executor decodes in the same walk: it stays on the plan and
+    // computes the product.
+    CliqueUnicast net(n, 64);
+    Mat61 c;
+    const SparseMmResult r = sparse_mm_m61(net, a, b, &c);
+    EXPECT_EQ(r.distribute_rounds, r.plan.distribute_rounds) << "n=" << n;
+    EXPECT_TRUE(c == m61_multiply_schoolbook(da, db)) << "n=" << n;
+
+    const blockmm::BlockGrid grid(n);
+    const blockmm::RowShardLayout row;
+    const blockmm::BlockShardLayout block(n);
+    EXPECT_EQ(blockmm::distribute_lengths(grid, 61, row), brute_force_dense_lengths(n, 61, row));
+    EXPECT_EQ(blockmm::distribute_lengths(grid, 61, block),
+              brute_force_dense_lengths(n, 61, block));
+  }
+}
+
 // ------------------------------------------------------- backend routing
 
 TEST(CountBackend, FourCycleCountAgreesAcrossBackends) {
@@ -388,6 +508,26 @@ TEST(CountBackend, AutoFallsBackToDenseAboveCrossover) {
   EXPECT_GT(ra.announce_rounds, 0);  // the decision itself was paid for
   EXPECT_EQ(ra.total_rounds,
             ra.announce_rounds + ra.mm.total_rounds + ra.share_rounds);
+  // Measured equals planned on the dense branch: the announcement priced
+  // by the sparse plan, then exactly the dense run's schedule.
+  const Csr61 sa = Csr61::from_dense(Mat61::adjacency(g));
+  const SparseMmPlan plan = sparse_mm_plan(24, 61, 64, declared_nnz_profile(sa, sa));
+  EXPECT_EQ(ra.announce_rounds, plan.announce_rounds);
+  EXPECT_EQ(net.stats().rounds, plan.announce_rounds + net_d.stats().rounds);
+  EXPECT_EQ(net.stats().total_bits, plan.announce_bits + net_d.stats().total_bits);
+
+  // And on the sparse branch, below the crossover: the sparse plan, then
+  // the same partial-sum all-gather.
+  const Graph cycle = cycle_graph(24);
+  CliqueUnicast net_s(24, 64);
+  const AlgebraicCountResult rs =
+      four_cycle_count_algebraic(net_s, cycle, CountBackend::kAuto);
+  EXPECT_TRUE(rs.used_sparse);
+  EXPECT_EQ(rs.sparse_mm.total_rounds, rs.sparse_mm.plan.total_rounds);
+  EXPECT_EQ(rs.sparse_mm.announce_rounds, rs.sparse_mm.plan.announce_rounds);
+  const ExchangeCost share = all_gather_cost(24, 3 * 61, 64);
+  EXPECT_EQ(net_s.stats().rounds, rs.sparse_mm.plan.total_rounds + share.rounds);
+  EXPECT_EQ(net_s.stats().total_bits, rs.sparse_mm.plan.total_bits + share.bits);
 }
 
 TEST(CountBackend, DefaultBackendScheduleIsUnchanged) {
@@ -423,16 +563,31 @@ TEST(ApspSparse, DistancesMatchDijkstraAndDenseRun) {
 
 TEST(ApspSparse, StepsRecordDensification) {
   Rng rng(504);
-  const Graph g = gnp(33, 0.15, rng);
-  std::vector<std::uint32_t> w(g.num_edges(), 1);
-  CliqueUnicast net(33, 64);
-  const ApspSparseResult r = apsp_run_sparse(net, g, w);
-  // nnz is monotone under min-plus squaring (an entry once finite stays
-  // finite), and every step records the profile it declared.
-  for (std::size_t s = 1; s < r.steps.size(); ++s) {
-    EXPECT_GE(r.steps[s].declared_nnz, r.steps[s - 1].declared_nnz);
+  // A sparse random graph, and a cycle whose last squaring input is fully
+  // finite, so the run crosses from the sparse branch to the dense one.
+  bool saw_sparse = false, saw_dense = false;
+  for (const Graph& g : {gnp(33, 0.15, rng), cycle_graph(33)}) {
+    std::vector<std::uint32_t> w(g.num_edges(), 1);
+    CliqueUnicast net(33, 64);
+    const ApspSparseResult r = apsp_run_sparse(net, g, w);
+    // nnz is monotone under min-plus squaring (an entry once finite stays
+    // finite), and every step records the profile it declared.
+    for (std::size_t s = 1; s < r.steps.size(); ++s) {
+      EXPECT_GE(r.steps[s].declared_nnz, r.steps[s - 1].declared_nnz);
+    }
+    EXPECT_GT(r.total_bits, 0u);
+    // Every squaring ran on its own plan, announcement included.
+    std::uint64_t bits = 0;
+    for (const ApspSparseStep& step : r.steps) {
+      EXPECT_EQ(step.rounds, step.planned_rounds);
+      EXPECT_EQ(step.bits, step.planned_bits);
+      (step.used_sparse ? saw_sparse : saw_dense) = true;
+      bits += step.bits;
+    }
+    EXPECT_EQ(bits, r.total_bits);
   }
-  EXPECT_GT(r.total_bits, 0u);
+  EXPECT_TRUE(saw_sparse);
+  EXPECT_TRUE(saw_dense);
 }
 
 // ------------------------------------------------------------- gnp_edges

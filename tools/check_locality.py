@@ -159,13 +159,9 @@ def scan_file(path):
             )
 
     if PLAN_CALL_RE.search(text):
-        # run_block_mm / run_sparse_mm are the plan-consuming executors;
-        # their header templates carry the measured==plan CC_CHECKs.
-        if (
-            not CC_CHECK_PLAN_RE.search(text)
-            and "run_block_mm" not in text
-            and "run_sparse_mm" not in text
-        ):
+        # run_block_mm is the one plan-consuming executor; its header
+        # template carries the measured==plan CC_CHECKs.
+        if not CC_CHECK_PLAN_RE.search(text) and "run_block_mm" not in text:
             problems.append(
                 f"{rel}: binds a *_plan(...) result but never CC_CHECKs "
                 "measured stats against the plan (check 3)"
