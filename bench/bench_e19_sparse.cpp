@@ -73,10 +73,10 @@ int main(int argc, char** argv) {
          cell("%d", r.total_rounds),
          cell("%llu", static_cast<unsigned long long>(r.total_bits)),
          cell("%llu", static_cast<unsigned long long>(r.plan.announce_bits)),
-         cell("%llu", static_cast<unsigned long long>(r.plan.dense_bits)),
+         cell("%llu", static_cast<unsigned long long>(r.plan.dense.total_bits)),
          ok ? "yes" : "NO",
          cell("%.3f", static_cast<double>(r.total_bits) /
-                          static_cast<double>(r.plan.dense_bits)),
+                          static_cast<double>(r.plan.dense.total_bits)),
          sparse_backend_preferred(r.plan) ? "sparse" : "dense"});
   }
   sw.print();

@@ -5,9 +5,11 @@
 // what bounds the reachable experiment scale.
 #include <benchmark/benchmark.h>
 
+#include "circuit/builders.h"
 #include "comm/clique_unicast.h"
 #include "core/apsp.h"
 #include "core/block_mm.h"
+#include "core/circuit_sim.h"
 #include "graph/degeneracy.h"
 #include "graph/generators.h"
 #include "graph/ruzsa_szemeredi.h"
@@ -18,6 +20,7 @@
 #include "linalg/tropical.h"
 #include "routing/router.h"
 #include "sketch/sketch.h"
+#include "util/math_util.h"
 #include "util/rng.h"
 
 namespace {
@@ -97,6 +100,72 @@ void BM_TwoPhaseRouting(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TwoPhaseRouting)->Arg(16)->Arg(32);
+
+// The Theorem 2 simulation's workload (perfbench circuit_sim): a random
+// layered circuit with n^2 inputs, width n^2/2, depth 8 and fan-in 6,
+// compiled for n players.
+Circuit micro_circuit(int n) {
+  Rng rng(12);
+  return random_layered_circuit(n * n, n * n / 2, 8, 6, rng);
+}
+
+// The light-to-light wire records of the simulation's layers 1-3, as one
+// demand: one record per (consumer player, source gate) pair across a
+// player boundary, from the compiled gate ownership.
+RoutingDemand circuit_wire_demand(int n) {
+  const Circuit c = micro_circuit(n);
+  const CircuitSimulation sim(c, n);
+  const CircuitSimPlan& plan = sim.plan();
+  const auto layers = c.layers();
+  RoutingDemand d;
+  d.payload_bits = bits_for(static_cast<std::uint64_t>(c.num_gates())) + 1;
+  std::vector<std::vector<bool>> sent(static_cast<std::size_t>(n),
+                                      std::vector<bool>(static_cast<std::size_t>(c.num_gates())));
+  for (std::size_t layer = 1; layer <= 3; ++layer) {
+    for (int g : layers[layer]) {
+      if (plan.heavy[static_cast<std::size_t>(g)]) continue;
+      const int consumer = plan.owner[static_cast<std::size_t>(g)];
+      for (int src : c.gate(g).inputs) {
+        const int holder = plan.owner[static_cast<std::size_t>(src)];
+        if (plan.heavy[static_cast<std::size_t>(src)] || holder == consumer) continue;
+        std::vector<bool>& known = sent[static_cast<std::size_t>(consumer)];
+        if (known[static_cast<std::size_t>(src)]) continue;
+        known[static_cast<std::size_t>(src)] = true;
+        d.messages.push_back(RoutedMessage{holder, consumer, static_cast<std::uint64_t>(src) << 1});
+      }
+    }
+  }
+  return d;
+}
+
+// Registered under BM_TwoPhaseRouting so the n = 48 row sits beside the
+// uniform rows; its demand is circuit_wire_demand (about 11k records).
+void BM_TwoPhaseRoutingCircuit(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const RoutingDemand d = circuit_wire_demand(n);
+  state.counters["messages"] = static_cast<double>(d.messages.size());
+  for (auto _ : state) {
+    CliqueUnicast net(n, 32);
+    benchmark::DoNotOptimize(route_two_phase(net, d));
+  }
+}
+BENCHMARK(BM_TwoPhaseRoutingCircuit)->Name("BM_TwoPhaseRouting")->Arg(48);
+
+// One CircuitSimulation::run of micro_circuit at the recommended bandwidth
+// (compile outside the timed loop).
+void BM_CircuitSimRun(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const Circuit c = micro_circuit(n);
+  const CircuitSimulation sim(c, n);
+  Rng rng(13);
+  std::vector<bool> inputs(static_cast<std::size_t>(c.num_inputs()));
+  for (auto&& x : inputs) x = rng.coin();
+  for (auto _ : state) {
+    CliqueUnicast net(n, sim.plan().recommended_bandwidth);
+    benchmark::DoNotOptimize(sim.run_round_robin(net, inputs));
+  }
+}
+BENCHMARK(BM_CircuitSimRun)->Arg(48);
 
 void BM_BehrendSet(benchmark::State& state) {
   const std::uint64_t m = static_cast<std::uint64_t>(state.range(0));

@@ -70,6 +70,15 @@ AlgebraicMmResult algebraic_mm_m61(CliqueUnicast& net, const Mat61& a,
   return run_mm<blockmm::M61Ops>(net, a, b, c);
 }
 
+AlgebraicMmResult algebraic_mm_m61(CliqueUnicast& net, const Mat61& a,
+                                   const Mat61& b, Mat61* c,
+                                   const AlgebraicMmPlan& plan) {
+  CC_REQUIRE(plan.n == a.n() && plan.word_bits == blockmm::M61Ops::kWordBits &&
+                 plan.bandwidth == net.bandwidth(),
+             "plan must be algebraic_mm_plan(n, 61, net.bandwidth())");
+  return blockmm::run_block_mm<blockmm::M61Ops, AlgebraicMmResult>(net, a, b, c, plan);
+}
+
 AlgebraicMmPlan sharded_mm_plan(int n, int word_bits, int bandwidth,
                                 const blockmm::ShardLayout& layout) {
   oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("sharded_mm_plan"));
@@ -141,7 +150,7 @@ AlgebraicCountResult four_cycle_count_algebraic(CliqueUnicast& net, const Graph&
       out.announce_rounds = run_nnz_announcement(net, profile, splan.count_bits);
       CC_CHECK(out.announce_rounds == splan.announce_rounds,
                "nnz announcement left the planned schedule");
-      out.mm = algebraic_mm_m61(net, a, a, &a2);
+      out.mm = algebraic_mm_m61(net, a, a, &a2, splan.dense);
       mm_rounds = out.announce_rounds + out.mm.total_rounds;
     }
   }

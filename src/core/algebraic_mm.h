@@ -48,28 +48,6 @@ namespace blockmm {
 class ShardLayout;  // core/block_mm.h — operand-ownership policy
 }
 
-/// The data-independent cost schedule of one distributed product — a pure
-/// function of (n, word_bits, bandwidth), shared by every semiring the
-/// block driver runs (the min-plus product of core/apsp reuses this struct
-/// verbatim at word_bits = 61).
-struct AlgebraicMmPlan {
-  int n = 0;
-  int grid = 0;        ///< m: block grid dimension; one triple of [m]^3 per player
-  int block = 0;       ///< ⌈n/m⌉ rows per interval
-  int word_bits = 0;   ///< serialized bits per element (1 for F2, 61 for F_{2^61-1})
-  int bandwidth = 0;   ///< per-edge per-round budget the schedule was planned for
-  int distribute_rounds = 0;  ///< input-block delivery (two relay hops)
-  int aggregate_rounds = 0;   ///< partial-sum delivery (two relay hops)
-  int total_rounds = 0;
-  std::uint64_t total_bits = 0;           ///< exact network bits, both phases
-  std::uint64_t aggregate_bits = 0;       ///< the aggregation phase's share of total_bits
-  std::uint64_t max_player_send_bits = 0; ///< heaviest per-player payload load (pre-relay)
-  /// Asymptotic reference the measured series is printed against:
-  /// 6 · n^{1/3} · w / b (three per-player loads of ~2n^{4/3}w bits, each
-  /// spread over n links and two hops).
-  double series_rounds = 0;
-};
-
 /// Computes the exact round/bit schedule for an n x n product with
 /// word_bits-bit elements at the given per-edge bandwidth.
 AlgebraicMmPlan algebraic_mm_plan(int n, int word_bits, int bandwidth);
@@ -93,6 +71,16 @@ AlgebraicMmResult algebraic_mm_f2(CliqueUnicast& net, const F2Matrix& a,
 /// Distributed C = A·B over F_{2^61-1} (61 bits/element).
 AlgebraicMmResult algebraic_mm_m61(CliqueUnicast& net, const Mat61& a,
                                    const Mat61& b, Mat61* c);
+
+/// algebraic_mm_m61 on a plan already in hand — the dense branch of
+/// four_cycle_count_algebraic(kAuto) runs on the dense plan its
+/// SparseMmPlan carries instead of pricing it again. Preconditions: plan ==
+/// algebraic_mm_plan(n, 61, net.bandwidth()) (its n, word width and
+/// bandwidth are CC_REQUIREd); the run CC_CHECKs its measured cost against
+/// `plan`.
+AlgebraicMmResult algebraic_mm_m61(CliqueUnicast& net, const Mat61& a,
+                                   const Mat61& b, Mat61* c,
+                                   const AlgebraicMmPlan& plan);
 
 /// Schedule for a product whose operands/outputs live under an arbitrary
 /// common-knowledge shard layout (core/block_mm.h): same [m]^3 grid and

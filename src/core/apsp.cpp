@@ -74,6 +74,14 @@ MinPlusResult min_plus_mm(CliqueUnicast& net, const TropicalMat& a,
   return run_product(net, a, b, c, kernel, plan);
 }
 
+MinPlusResult min_plus_mm(CliqueUnicast& net, const TropicalMat& a,
+                          const TropicalMat& b, TropicalMat* c,
+                          const AlgebraicMmPlan& plan) {
+  CC_REQUIRE(plan.n == a.n() && plan.word_bits == 61 && plan.bandwidth == net.bandwidth(),
+             "plan must be algebraic_mm_plan(n, 61, net.bandwidth())");
+  return run_product(net, a, b, c, TropicalKernel::kBlocked, plan);
+}
+
 MinPlusResult min_plus_mm_sharded(CliqueUnicast& net, const TropicalMat& a,
                                   const TropicalMat& b, TropicalMat* c,
                                   const blockmm::ShardLayout& layout) {
@@ -174,7 +182,7 @@ ApspSparseResult apsp_run_sparse(CliqueUnicast& net, const Graph& g,
         sparse_mm_plan(n, /*word_bits=*/61, net.bandwidth(), profile);
     ApspSparseStep step;
     step.declared_nnz = plan.a_nnz;
-    step.dense_bits = plan.dense_bits;
+    step.dense_bits = plan.dense.total_bits;
     TropicalMat next;
     if (sparse_backend_preferred(plan)) {
       sparse_min_plus_mm(net, cur, cur, &next, profile, plan);
@@ -184,7 +192,7 @@ ApspSparseResult apsp_run_sparse(CliqueUnicast& net, const Graph& g,
     } else {
       CC_CHECK(run_nnz_announcement(net, profile, plan.count_bits) == plan.announce_rounds,
                "nnz announcement left the planned schedule");
-      const MinPlusResult r = min_plus_mm(net, out.dist, out.dist, &next);
+      const MinPlusResult r = min_plus_mm(net, out.dist, out.dist, &next, plan.dense);
       step.planned_rounds = plan.announce_rounds + r.plan.total_rounds;
       step.planned_bits = plan.announce_bits + r.plan.total_bits;
     }

@@ -83,6 +83,16 @@ MinPlusResult min_plus_mm(CliqueUnicast& net, const TropicalMat& a,
                           const TropicalMat& b, TropicalMat* c,
                           TropicalKernel kernel = TropicalKernel::kBlocked);
 
+/// min_plus_mm (blocked kernel) on a plan already in hand — the dense
+/// branch of apsp_run_sparse runs on the dense plan its SparseMmPlan
+/// carries instead of pricing it again. Preconditions: plan ==
+/// algebraic_mm_plan(n, 61, net.bandwidth()) (its n, word width and
+/// bandwidth are CC_REQUIREd); the run CC_CHECKs its measured cost against
+/// `plan`.
+MinPlusResult min_plus_mm(CliqueUnicast& net, const TropicalMat& a,
+                          const TropicalMat& b, TropicalMat* c,
+                          const AlgebraicMmPlan& plan);
+
 /// Distance product with operands/outputs owned per `layout`
 /// (core/block_mm.h) — the tropical twin of algebraic_mm_m61_sharded.
 /// Values match min_plus_mm; rounds/bits follow sharded_mm_plan(n, 61, b,

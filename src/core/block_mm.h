@@ -61,6 +61,29 @@
 #include "util/math_util.h"
 
 namespace cclique {
+
+/// The data-independent cost schedule of one distributed product — a pure
+/// function of (n, word_bits, bandwidth), shared by every semiring the
+/// block driver runs (the min-plus product of core/apsp reuses this struct
+/// verbatim at word_bits = 61).
+struct AlgebraicMmPlan {
+  int n = 0;
+  int grid = 0;        ///< m: block grid dimension; one triple of [m]^3 per player
+  int block = 0;       ///< ⌈n/m⌉ rows per interval
+  int word_bits = 0;   ///< serialized bits per element (1 for F2, 61 for F_{2^61-1})
+  int bandwidth = 0;   ///< per-edge per-round budget the schedule was planned for
+  int distribute_rounds = 0;  ///< input-block delivery (two relay hops)
+  int aggregate_rounds = 0;   ///< partial-sum delivery (two relay hops)
+  int total_rounds = 0;
+  std::uint64_t total_bits = 0;           ///< exact network bits, both phases
+  std::uint64_t aggregate_bits = 0;       ///< the aggregation phase's share of total_bits
+  std::uint64_t max_player_send_bits = 0; ///< heaviest per-player payload load (pre-relay)
+  /// Asymptotic reference the measured series is printed against:
+  /// 6 · n^{1/3} · w / b (three per-player loads of ~2n^{4/3}w bits, each
+  /// spread over n links and two hops).
+  double series_rounds = 0;
+};
+
 namespace blockmm {
 
 /// The [m]^3 block grid: interval t covers rows [lo(t), hi(t)), triple

@@ -30,9 +30,11 @@ CircuitSimulation::CircuitSimulation(const Circuit& circuit, int n_players,
   // 2N <= 2n^2 s there are at most n of them.
   plan_.heavy_threshold = 2 * n * static_cast<std::size_t>(plan_.s);
   plan_.owner.assign(static_cast<std::size_t>(gates), -1);
+  plan_.heavy.assign(static_cast<std::size_t>(gates), false);
   int next_heavy_player = 0;
   for (int g = 0; g < gates; ++g) {
     if (weight[static_cast<std::size_t>(g)] >= plan_.heavy_threshold) {
+      plan_.heavy[static_cast<std::size_t>(g)] = true;
       CC_CHECK(next_heavy_player < n_players,
                "more heavy gates than players — weight accounting broken");
       plan_.owner[static_cast<std::size_t>(g)] = next_heavy_player++;
@@ -99,24 +101,30 @@ CircuitSimResult CircuitSimulation::run(CliqueUnicast& net,
   const int gates = c.num_gates();
   const int gate_addr = bits_for(static_cast<std::uint64_t>(std::max(1, gates)));
   const int input_addr = bits_for(static_cast<std::uint64_t>(std::max(1, c.num_inputs())));
+  const std::vector<bool>& heavy = plan_.heavy;
+  const std::size_t nn = static_cast<std::size_t>(n);
 
-  // Per-player knowledge of gate values: know[p][gate] -> value.
-  std::vector<std::unordered_map<int, bool>> know(static_cast<std::size_t>(n));
+  // Per-player knowledge of gate values: know[p][gate] is kUnknown, 0 or 1.
+  constexpr std::int8_t kUnknown = -1;
+  std::vector<std::vector<std::int8_t>> know(
+      nn, std::vector<std::int8_t>(static_cast<std::size_t>(gates), kUnknown));
   auto knows = [&](int p, int g) {
-    return know[static_cast<std::size_t>(p)].count(g) != 0;
+    return know[static_cast<std::size_t>(p)][static_cast<std::size_t>(g)] != kUnknown;
+  };
+  auto learn = [&](int p, int g, bool v) {
+    know[static_cast<std::size_t>(p)][static_cast<std::size_t>(g)] = v ? 1 : 0;
   };
   auto value_at = [&](int p, int g) -> bool {
-    auto it = know[static_cast<std::size_t>(p)].find(g);
-    CC_CHECK(it != know[static_cast<std::size_t>(p)].end(),
-             "player missing a value the schedule says it has");
-    return it->second;
+    const std::int8_t v = know[static_cast<std::size_t>(p)][static_cast<std::size_t>(g)];
+    CC_CHECK(v != kUnknown, "player missing a value the schedule says it has");
+    return v != 0;
   };
 
   // Constants are common knowledge; seed them everywhere they're owned or
   // consumed (free: the circuit itself is common knowledge).
   for (int g = 0; g < gates; ++g) {
     if (c.gate(g).kind == GateKind::kConst) {
-      for (int p = 0; p < n; ++p) know[static_cast<std::size_t>(p)][g] = c.gate(g).const_value;
+      for (int p = 0; p < n; ++p) learn(p, g, c.gate(g).const_value);
     }
   }
 
@@ -134,7 +142,7 @@ CircuitSimResult CircuitSimulation::run(CliqueUnicast& net,
       const std::uint64_t payload =
           (static_cast<std::uint64_t>(i) << 1) | (inputs[static_cast<std::size_t>(i)] ? 1 : 0);
       if (from == to) {
-        know[static_cast<std::size_t>(to)][gate_id] = inputs[static_cast<std::size_t>(i)];
+        learn(to, gate_id, inputs[static_cast<std::size_t>(i)]);
       } else {
         demand.messages.push_back(RoutedMessage{from, to, payload});
       }
@@ -144,25 +152,25 @@ CircuitSimResult CircuitSimulation::run(CliqueUnicast& net,
       for (const auto& [src, payload] : routed.delivered[static_cast<std::size_t>(p)]) {
         (void)src;
         const int idx = static_cast<int>(payload >> 1);
-        const int gate_id = c.input_ids()[static_cast<std::size_t>(idx)];
-        know[static_cast<std::size_t>(p)][gate_id] = (payload & 1) != 0;
+        learn(p, c.input_ids()[static_cast<std::size_t>(idx)], (payload & 1) != 0);
       }
     }
   }
 
-  // Precompute consumers of each gate, and layers.
   const auto layers = c.layers();
-  // Heavy-output forwarding dedup: forwarded[gate] marks players already
-  // holding that heavy gate's value.
-  std::unordered_map<int, std::vector<bool>> forwarded;
-
-  const std::vector<int> fan_out = c.fan_outs();
-  std::vector<bool> heavy(static_cast<std::size_t>(gates), false);
-  for (int g = 0; g < gates; ++g) {
-    heavy[static_cast<std::size_t>(g)] =
-        c.gate(g).inputs.size() + static_cast<std::size_t>(fan_out[static_cast<std::size_t>(g)]) >=
-        plan_.heavy_threshold;
-  }
+  // Heavy-output forwarding dedup: forwarded[holder][consumer] marks that
+  // the holder already sent its heavy gate's value to the consumer. A player
+  // owns at most one heavy gate, so the holder names the gate.
+  std::vector<std::vector<bool>> forwarded(nn, std::vector<bool>(nn, false));
+  // Phase (a) scratch: one heavy gate's in-wire positions and values,
+  // grouped by the player owning each wire's source, and the aggregate each
+  // heavy owner takes over its own wires (no wire needed).
+  std::vector<std::vector<int>> part_positions(nn);
+  std::vector<std::vector<bool>> part_values(nn);
+  std::vector<PartAggregate> own_part(nn);
+  std::vector<bool> has_own_part(nn, false);
+  std::vector<PartAggregate> collected;
+  std::vector<bool> in_values;
 
   for (std::size_t layer = 1; layer < layers.size(); ++layer) {
     // ---- Phase (a): heavy-gate aggregation -------------------------------
@@ -170,80 +178,69 @@ CircuitSimResult CircuitSimulation::run(CliqueUnicast& net,
     // in-wires sends the Definition 1 partial aggregate to the gate owner.
     // A player owns at most one heavy gate, so aggregates on an edge are
     // unambiguous without addressing.
-    {
-      std::vector<std::vector<Message>> payload(
-          static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-      // (gate, sender) -> (positions, values) accumulated locally.
-      struct Part {
-        std::vector<int> positions;
-        std::vector<bool> values;
-      };
-      std::vector<std::unordered_map<int, Part>> parts(static_cast<std::size_t>(n));
-      bool any_heavy = false;
+    const bool any_heavy = std::any_of(layers[layer].begin(), layers[layer].end(),
+                                       [&](int g) { return heavy[static_cast<std::size_t>(g)]; });
+    if (any_heavy) {
+      // Each sender has at most one aggregate per heavy gate; heavy gates
+      // have distinct owners, so at most one aggregate per (sender,
+      // receiver) edge per layer.
+      std::vector<std::vector<Message>> payload(nn, std::vector<Message>(nn));
+      std::fill(has_own_part.begin(), has_own_part.end(), false);
       for (int g : layers[layer]) {
         if (!heavy[static_cast<std::size_t>(g)]) continue;
-        any_heavy = true;
         const Gate& gate = c.gate(g);
+        for (std::size_t p = 0; p < nn; ++p) {
+          part_positions[p].clear();
+          part_values[p].clear();
+        }
         for (std::size_t pos = 0; pos < gate.inputs.size(); ++pos) {
           const int src = gate.inputs[pos];
           const int p = plan_.owner[static_cast<std::size_t>(src)];
-          Part& part = parts[static_cast<std::size_t>(p)][g];
-          part.positions.push_back(static_cast<int>(pos));
-          part.values.push_back(value_at(p, src));
+          part_positions[static_cast<std::size_t>(p)].push_back(static_cast<int>(pos));
+          part_values[static_cast<std::size_t>(p)].push_back(value_at(p, src));
+        }
+        const int dest = plan_.owner[static_cast<std::size_t>(g)];
+        for (int p = 0; p < n; ++p) {
+          if (part_positions[static_cast<std::size_t>(p)].empty()) continue;
+          const PartAggregate agg = c.partial_aggregate(
+              g, part_positions[static_cast<std::size_t>(p)], part_values[static_cast<std::size_t>(p)]);
+          if (dest == p) {
+            own_part[static_cast<std::size_t>(dest)] = agg;
+            has_own_part[static_cast<std::size_t>(dest)] = true;
+            continue;
+          }
+          Message& m = payload[static_cast<std::size_t>(p)][static_cast<std::size_t>(dest)];
+          CC_CHECK(m.empty(), "two heavy aggregates on one edge in one layer");
+          m.push_uint(agg.value, agg.bits);
         }
       }
-      if (any_heavy) {
-        // Serialize: each sender has at most one aggregate per heavy gate;
-        // heavy gates have distinct owners, so at most one aggregate per
-        // (sender, receiver) edge per layer.
-        std::vector<std::unordered_map<int, PartAggregate>> owner_parts(
-            static_cast<std::size_t>(n));  // receiver -> (gate -> aggregate), local sides
+      std::vector<std::vector<Message>> received;
+      unicast_payloads(net, payload, &received);
+      // Combine at owners.
+      for (int g : layers[layer]) {
+        if (!heavy[static_cast<std::size_t>(g)]) continue;
+        const int dest = plan_.owner[static_cast<std::size_t>(g)];
+        collected.clear();
+        if (has_own_part[static_cast<std::size_t>(dest)]) {
+          collected.push_back(own_part[static_cast<std::size_t>(dest)]);
+        }
+        const int agg_bits = c.separability_bits(g);
         for (int p = 0; p < n; ++p) {
-          for (auto& [g, part] : parts[static_cast<std::size_t>(p)]) {
-            const PartAggregate agg = c.partial_aggregate(g, part.positions, part.values);
-            const int dest = plan_.owner[static_cast<std::size_t>(g)];
-            if (dest == p) {
-              owner_parts[static_cast<std::size_t>(dest)][g] = agg;  // no wire needed
-              continue;
-            }
-            Message m;
-            m.push_uint(agg.value, agg.bits);
-            CC_CHECK(payload[static_cast<std::size_t>(p)][static_cast<std::size_t>(dest)].empty(),
-                     "two heavy aggregates on one edge in one layer");
-            payload[static_cast<std::size_t>(p)][static_cast<std::size_t>(dest)] = std::move(m);
-          }
+          const Message& m = received[static_cast<std::size_t>(dest)][static_cast<std::size_t>(p)];
+          if (m.empty()) continue;
+          // Only aggregates for this gate arrive at its owner this layer.
+          PartAggregate agg;
+          agg.bits = agg_bits;
+          agg.value = m.read_uint(0, agg_bits);
+          collected.push_back(agg);
         }
-        std::vector<std::vector<Message>> received;
-        unicast_payloads(net, payload, &received);
-        // Combine at owners.
-        for (int g : layers[layer]) {
-          if (!heavy[static_cast<std::size_t>(g)]) continue;
-          const int dest = plan_.owner[static_cast<std::size_t>(g)];
-          std::vector<PartAggregate> collected;
-          auto own_it = owner_parts[static_cast<std::size_t>(dest)].find(g);
-          if (own_it != owner_parts[static_cast<std::size_t>(dest)].end()) {
-            collected.push_back(own_it->second);
-          }
-          const int agg_bits = c.separability_bits(g);
-          for (int p = 0; p < n; ++p) {
-            const Message& m = received[static_cast<std::size_t>(dest)][static_cast<std::size_t>(p)];
-            if (m.empty()) continue;
-            // Only aggregates for this gate arrive at its owner this layer.
-            PartAggregate agg;
-            agg.bits = agg_bits;
-            agg.value = m.read_uint(0, agg_bits);
-            collected.push_back(agg);
-          }
-          know[static_cast<std::size_t>(dest)][g] = c.combine(g, collected);
-        }
+        learn(dest, g, c.combine(g, collected));
       }
     }
 
     // ---- Phase (b): heavy outputs feeding this layer's light gates -------
     {
-      std::vector<std::vector<Message>> payload(
-          static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-      bool any = false;
+      std::vector<std::vector<Message>> payload;
       for (int g : layers[layer]) {
         if (heavy[static_cast<std::size_t>(g)]) continue;
         const int consumer = plan_.owner[static_cast<std::size_t>(g)];
@@ -252,19 +249,18 @@ CircuitSimResult CircuitSimulation::run(CliqueUnicast& net,
           if (c.gate(src).kind == GateKind::kConst) continue;
           const int holder = plan_.owner[static_cast<std::size_t>(src)];
           if (holder == consumer) continue;
-          auto& sent = forwarded[src];
-          if (sent.empty()) sent.assign(static_cast<std::size_t>(n), false);
+          std::vector<bool>& sent = forwarded[static_cast<std::size_t>(holder)];
           if (sent[static_cast<std::size_t>(consumer)]) continue;
           sent[static_cast<std::size_t>(consumer)] = true;
           // One bit per (heavy gate, consumer); a holder owns one heavy
           // gate, so the edge carries at most one forwarded bit per layer.
+          if (payload.empty()) payload.assign(nn, std::vector<Message>(nn));
           Message& m = payload[static_cast<std::size_t>(holder)][static_cast<std::size_t>(consumer)];
           CC_CHECK(m.empty(), "duplicate heavy forward on an edge in one layer");
           m.push_bit(value_at(holder, src));
-          any = true;
         }
       }
-      if (any) {
+      if (!payload.empty()) {
         std::vector<std::vector<Message>> received;
         unicast_payloads(net, payload, &received);
         for (int g : layers[layer]) {
@@ -277,7 +273,7 @@ CircuitSimResult CircuitSimulation::run(CliqueUnicast& net,
             const Message& m =
                 received[static_cast<std::size_t>(consumer)][static_cast<std::size_t>(holder)];
             CC_CHECK(m.size_bits() == 1, "expected exactly the forwarded bit");
-            know[static_cast<std::size_t>(consumer)][src] = m.get(0);
+            learn(consumer, src, m.get(0));
           }
         }
       }
@@ -296,7 +292,7 @@ CircuitSimResult CircuitSimulation::run(CliqueUnicast& net,
           if (holder == consumer || knows(consumer, src)) continue;
           // Mark as pending-known to dedup multiple wires this layer; the
           // actual value lands after routing.
-          know[static_cast<std::size_t>(consumer)][src] = false;  // placeholder
+          learn(consumer, src, false);  // placeholder
           const std::uint64_t payload =
               (static_cast<std::uint64_t>(src) << 1) |
               (value_at(holder, src) ? 1 : 0);
@@ -308,8 +304,7 @@ CircuitSimResult CircuitSimulation::run(CliqueUnicast& net,
         for (int p = 0; p < n; ++p) {
           for (const auto& [src_player, payload] : routed.delivered[static_cast<std::size_t>(p)]) {
             (void)src_player;
-            const int src_gate = static_cast<int>(payload >> 1);
-            know[static_cast<std::size_t>(p)][src_gate] = (payload & 1) != 0;
+            learn(p, static_cast<int>(payload >> 1), (payload & 1) != 0);
           }
         }
       }
@@ -321,10 +316,9 @@ CircuitSimResult CircuitSimulation::run(CliqueUnicast& net,
       const Gate& gate = c.gate(g);
       if (gate.kind == GateKind::kConst) continue;
       const int p = plan_.owner[static_cast<std::size_t>(g)];
-      std::vector<bool> in_values;
-      in_values.reserve(gate.inputs.size());
+      in_values.clear();
       for (int src : gate.inputs) in_values.push_back(value_at(p, src));
-      know[static_cast<std::size_t>(p)][g] = c.eval_gate(g, in_values);
+      learn(p, g, c.eval_gate(g, in_values));
     }
   }
 

@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -60,6 +59,8 @@ struct CircuitSimPlan {
   /// Heavy-gate threshold 2*n*s and resulting counts.
   std::size_t heavy_threshold = 0;
   int heavy_gates = 0;
+  /// heavy[g]: gate g's weight reaches heavy_threshold.
+  std::vector<bool> heavy;
   /// Max total light weight assigned to one player (<= 4*n*s guaranteed).
   std::size_t max_light_weight = 0;
   /// Gate -> player assignment I.

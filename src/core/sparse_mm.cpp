@@ -97,13 +97,12 @@ SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth,
   // Aggregation: dense widths (fill-in makes output structure unpriceable
   // without a second announcement; see sparse_mm.h) — exactly the dense
   // schedule's aggregation phase, so it is priced once, by the dense plan.
-  const AlgebraicMmPlan dense = algebraic_mm_plan(n, word_bits, bandwidth);
+  plan.dense = algebraic_mm_plan(n, word_bits, bandwidth);
 
   plan.distribute_rounds = dc.rounds;
-  plan.aggregate_rounds = dense.aggregate_rounds;
-  plan.total_rounds = plan.announce_rounds + dc.rounds + dense.aggregate_rounds;
-  plan.total_bits = plan.announce_bits + dc.bits + dense.aggregate_bits;
-  plan.dense_bits = dense.total_bits;
+  plan.aggregate_rounds = plan.dense.aggregate_rounds;
+  plan.total_rounds = plan.announce_rounds + dc.rounds + plan.dense.aggregate_rounds;
+  plan.total_bits = plan.announce_bits + dc.bits + plan.dense.aggregate_bits;
   return plan;
 }
 

@@ -97,9 +97,11 @@ struct SparseMmPlan {
   int total_rounds = 0;
   std::uint64_t announce_bits = 0;
   std::uint64_t total_bits = 0;  ///< all three phases
-  /// Dense reference: algebraic_mm_plan(n, word_bits, bandwidth).total_bits,
-  /// the cost of running the oblivious schedule on the same input.
-  std::uint64_t dense_bits = 0;
+  /// The dense schedule, algebraic_mm_plan(n, word_bits, bandwidth): its
+  /// aggregation phase is this plan's, and dense.total_bits is the cost of
+  /// running the oblivious schedule on the same input. An adaptive caller
+  /// that picks the dense branch runs it on this plan.
+  AlgebraicMmPlan dense;
 };
 
 /// Prices the three-phase sparse schedule for the declared profile.
@@ -112,7 +114,7 @@ SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth,
 /// an adaptive protocol must pay the announcement before choosing, so
 /// sparse wins iff its full cost beats announcement + the dense schedule.
 inline bool sparse_backend_preferred(const SparseMmPlan& p) {
-  return p.total_bits <= p.announce_bits + p.dense_bits;
+  return p.total_bits <= p.announce_bits + p.dense.total_bits;
 }
 
 /// Outcome of one sparse distributed product.

@@ -10,16 +10,20 @@
 // We implement three routers over the same interface:
 //  * DirectRouter — sends everything straight to its destination; rounds =
 //    max per-edge queue (the naive baseline a congested edge punishes);
-//  * TwoPhaseRouter — deterministic Lenzen-style relay routing. One
-//    announcement round makes the demand matrix common knowledge (message
-//    counts only, O(n log n) bits per player spread over its n links);
-//    then every player locally computes the same global schedule: all
-//    messages are ordered by (destination, sender, k) and slot t is relayed
-//    through player t mod n. Phase 1 scatters, phase 2 delivers. Both
-//    phases have per-edge load <= ceil(M/n) + 1 where M bounds per-player
-//    demand, so c-balanced demands route in O(c) rounds — the property
-//    Theorem 2 consumes. (Substitution for Lenzen's sorting-based schedule;
-//    see DESIGN.md §4.)
+//  * TwoPhaseRouter — deterministic Lenzen-style relay routing. Every
+//    player computes the same relay schedule from the demand's (source,
+//    destination) pattern (two_phase_schedule): messages are taken in
+//    (destination, sender, index) order, and each goes through the relay
+//    that minimises (max, sum) of its two edge loads so far — sender to
+//    relay and relay to destination — lowest relay id on ties. The greedy
+//    tracks the fractional schedule that sends 1/n of every (sender,
+//    destination) group through each relay. Phase 1 scatters to the
+//    relays, phase 2 delivers. Computing the schedule costs an O(M + n^2)
+//    counting sort plus at most an O(M·n) scan of flat load tables for M
+//    messages; a relay at both rows' minimum loads is found from bit masks
+//    without the scan.
+//    The schedule assumes the demand pattern is common knowledge; the
+//    announcement that would make it so is not charged (DESIGN.md §4a).
 //  * ValiantRouter — randomized relay choice (ablation baseline; O(c) rounds
 //    w.h.p. with slightly worse constants).
 //
@@ -60,12 +64,24 @@ struct RoutingResult {
   std::vector<std::vector<std::pair<int, std::uint64_t>>> delivered;
 };
 
+// All three routers CC_REQUIRE (PreconditionError) that every message
+// endpoint is in [0, net.n()) and every payload fits `payload_bits`, before
+// any of them indexes by an endpoint.
+
 /// Naive direct delivery. Rounds = max number of messages sharing one
 /// directed (source, dest) edge, times ceil(width/b).
 RoutingResult route_direct(CliqueUnicast& net, const RoutingDemand& demand);
 
-/// Deterministic two-phase relay routing (Lenzen-style; see header comment).
-/// Requires every payload to fit `payload_bits` bits. Rounds =
+/// The two-phase router's relay schedule on an n-clique: relay_of[k] is the
+/// relay of demand.messages[k] (greedy min-(max, sum) placement; see the
+/// header comment). A pure function of n and the messages' endpoints; it
+/// never reads a payload. Preconditions: n >= 1, every endpoint in [0, n),
+/// fewer than 2^32 messages.
+std::vector<int> two_phase_schedule(int n, const RoutingDemand& demand);
+
+/// Deterministic two-phase relay routing (Lenzen-style; see header comment)
+/// on the two_phase_schedule relays. Requires every endpoint to be a player
+/// and every payload to fit `payload_bits` bits. Rounds =
 /// O((max_load/n + 1) * ceil((payload_bits + addressing) / b)).
 RoutingResult route_two_phase(CliqueUnicast& net, const RoutingDemand& demand);
 

@@ -128,6 +128,35 @@ TEST_P(MinPlusMmSizes, MatchesSchoolbook) {
   EXPECT_EQ(net.stats().rounds, r.total_rounds);
 }
 
+// The plan-in-hand overloads run on the caller's plan, give the same
+// product and cost as pricing it afresh, and reject a plan priced for
+// another clique size or bandwidth.
+TEST(MinPlusMm, PlanInHandOverloadsMatchAndRejectForeignPlans) {
+  const int n = 27;
+  Rng rng(501);
+  const TropicalMat a = TropicalMat::random(n, rng, 1u << 20, 0.25);
+  const Mat61 m = Mat61::random(n, rng);
+  const AlgebraicMmPlan plan = algebraic_mm_plan(n, 61, 64);
+  CliqueUnicast net(n, 64);
+  TropicalMat c;
+  const MinPlusResult r = min_plus_mm(net, a, a, &c, plan);
+  EXPECT_EQ(c, tropical_multiply_schoolbook(a, a));
+  EXPECT_EQ(net.stats().rounds, plan.total_rounds);
+  EXPECT_EQ(net.stats().total_bits, plan.total_bits);
+  EXPECT_EQ(r.total_bits, plan.total_bits);
+  CliqueUnicast net61(n, 64);
+  Mat61 m2;
+  algebraic_mm_m61(net61, m, m, &m2, plan);
+  EXPECT_EQ(net61.stats().total_bits, plan.total_bits);
+  for (const AlgebraicMmPlan& foreign :
+       {algebraic_mm_plan(n, 61, 32), algebraic_mm_plan(n + 1, 61, 64), algebraic_mm_plan(n, 1, 64)}) {
+    CliqueUnicast other(n, 64);
+    EXPECT_THROW(min_plus_mm(other, a, a, &c, foreign), PreconditionError);
+    EXPECT_THROW(algebraic_mm_m61(other, m, m, &m2, foreign), PreconditionError);
+    EXPECT_EQ(other.stats().rounds, 0);
+  }
+}
+
 TEST(MinPlusMm, DegenerateGridRunsOneTriple) {
   // n < 8 means m = 1: the whole product is one block at player 0, every
   // row owner ships its rows in, player 0 ships all partial rows out.

@@ -2,6 +2,9 @@
 // metered engines.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "circuit/builders.h"
 #include "core/adaptive_detect.h"
 #include "core/circuit_sim.h"
@@ -91,6 +94,84 @@ TEST(CircuitSim, MultiOutputOperator) {
   ASSERT_EQ(result.outputs.size(), expect.size());
   for (std::size_t i = 0; i < expect.size(); ++i) {
     EXPECT_EQ(result.outputs[i], expect[i]);
+  }
+}
+
+/// Scoped CC_THREADS override. Engines read the variable when they first
+/// schedule a round, so each run constructs a fresh engine.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(const char* value) {
+    const char* old = std::getenv("CC_THREADS");
+    had_old_ = old != nullptr;
+    if (had_old_) old_ = old;
+    ::setenv("CC_THREADS", value, 1);
+  }
+  ~ScopedThreads() {
+    if (had_old_) {
+      ::setenv("CC_THREADS", old_.c_str(), 1);
+    } else {
+      ::unsetenv("CC_THREADS");
+    }
+  }
+  ScopedThreads(const ScopedThreads&) = delete;
+  ScopedThreads& operator=(const ScopedThreads&) = delete;
+
+ private:
+  bool had_old_ = false;
+  std::string old_;
+};
+
+/// A random layered circuit plus two heavy gates over every input (a
+/// majority and a parity, both in layer 1, so one layer aggregates two
+/// heavy gates) and light gates consuming the majority, so heavy outputs
+/// are forwarded to light owners.
+Circuit circuit_with_heavy_gates(int n, Rng& rng) {
+  Circuit c = random_layered_circuit(n * n, n, 3, 2, rng);
+  const std::vector<int> ins = c.input_ids();
+  const int maj = c.add_threshold(ins, n * n / 2);
+  c.mark_output(maj);
+  c.mark_output(c.add_gate(GateKind::kXor, ins));
+  for (int k = 0; k < n; ++k) {
+    const int other = ins[rng.uniform(ins.size())];
+    c.mark_output(c.add_gate(k % 2 == 0 ? GateKind::kXor : GateKind::kAnd, {maj, other}));
+  }
+  return c;
+}
+
+// Every router × light-gate policy computes Circuit::evaluate's outputs, and
+// its CommStats are identical at CC_THREADS=1 and 4.
+TEST(CircuitSim, RouterPolicyGridMatchesEvaluateAtAnyThreadCount) {
+  Rng rng(6);
+  const int n = 8;
+  std::vector<int> owner(static_cast<std::size_t>(n * n));
+  for (std::size_t i = 0; i < owner.size(); ++i) owner[i] = static_cast<int>(i) % n;
+  for (int trial = 0; trial < 3; ++trial) {
+    const Circuit c = circuit_with_heavy_gates(n, rng);
+    std::vector<bool> inputs(static_cast<std::size_t>(n * n));
+    for (auto&& x : inputs) x = rng.coin();
+    const std::vector<bool> expect = c.evaluate(inputs);
+    for (const AssignPolicy policy : {AssignPolicy::kRotating, AssignPolicy::kFirstFit}) {
+      const CircuitSimulation sim(c, n, policy);
+      ASSERT_GE(sim.plan().heavy_gates, 2);
+      for (const SimRouter router : {SimRouter::kTwoPhase, SimRouter::kDirect, SimRouter::kValiant}) {
+        auto run_at = [&](const char* threads) {
+          ScopedThreads scoped(threads);
+          CliqueUnicast net(n, sim.plan().recommended_bandwidth);
+          Rng valiant(100 + static_cast<std::uint64_t>(trial));
+          return sim.run(net, inputs, owner, router, &valiant);
+        };
+        const CircuitSimResult serial = run_at("1");
+        const CircuitSimResult wide = run_at("4");
+        const std::string where = "trial " + std::to_string(trial) + " policy " +
+                                  std::to_string(static_cast<int>(policy)) + " router " +
+                                  std::to_string(static_cast<int>(router));
+        EXPECT_EQ(serial.outputs, expect) << where;
+        EXPECT_EQ(wide.outputs, expect) << where;
+        EXPECT_EQ(wide.stats, serial.stats) << where;
+        EXPECT_GT(serial.stats.rounds, 0) << where;
+      }
+    }
   }
 }
 

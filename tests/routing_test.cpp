@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <numeric>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "routing/router.h"
 #include "util/math_util.h"
@@ -113,6 +116,145 @@ TEST(Routing, PayloadWidthValidated) {
   d.payload_bits = 3;
   d.messages = {{0, 1, 9}};  // 9 needs 4 bits
   EXPECT_THROW(route_direct(net, d), PreconditionError);
+}
+
+// Every router validates endpoints before it indexes by them: an
+// out-of-range source or destination is a PreconditionError, not an
+// out-of-bounds write.
+TEST(Routing, EndpointsOutOfRangeRejected) {
+  const int n = 4;
+  RoutingDemand bad_source;
+  bad_source.payload_bits = 4;
+  bad_source.messages = {{0, 1, 3}, {n, 1, 3}};
+  RoutingDemand bad_dest;
+  bad_dest.payload_bits = 4;
+  bad_dest.messages = {{0, 1, 3}, {2, -1, 3}};
+  for (const RoutingDemand* d : {&bad_source, &bad_dest}) {
+    CliqueUnicast net(n, 8);
+    Rng rng(12);
+    EXPECT_THROW(route_direct(net, *d), PreconditionError);
+    EXPECT_THROW(route_two_phase(net, *d), PreconditionError);
+    EXPECT_THROW(route_valiant(net, *d, rng), PreconditionError);
+    EXPECT_THROW(two_phase_schedule(n, *d), PreconditionError);
+    EXPECT_THROW(d->max_out(n), PreconditionError);
+    EXPECT_THROW(d->max_in(n), PreconditionError);
+    EXPECT_EQ(net.stats().rounds, 0) << "a rejected demand must not run";
+  }
+}
+
+// The schedule as first written: nested per-row load tables, a comparison
+// sort of the message indices by (dest, source, index), and a scan keeping
+// the relay of least (max, sum) load, lowest id on ties. Kept as the oracle
+// for two_phase_schedule.
+std::vector<int> two_phase_schedule_oracle(int n, const RoutingDemand& demand) {
+  const std::size_t nn = static_cast<std::size_t>(n);
+  std::vector<std::vector<std::uint32_t>> load_out(nn, std::vector<std::uint32_t>(nn, 0));
+  std::vector<std::vector<std::uint32_t>> load_in(nn, std::vector<std::uint32_t>(nn, 0));
+  std::vector<std::size_t> order(demand.messages.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const auto& ma = demand.messages[a];
+    const auto& mb = demand.messages[b];
+    if (ma.dest != mb.dest) return ma.dest < mb.dest;
+    if (ma.source != mb.source) return ma.source < mb.source;
+    return a < b;
+  });
+  std::vector<int> relay_of(demand.messages.size(), 0);
+  for (std::size_t k : order) {
+    const auto& m = demand.messages[k];
+    const std::size_t s = static_cast<std::size_t>(m.source);
+    const std::size_t d = static_cast<std::size_t>(m.dest);
+    int best = -1;
+    std::uint32_t best_max = 0, best_sum = 0;
+    for (int r = 0; r < n; ++r) {
+      const std::uint32_t lo = load_out[s][static_cast<std::size_t>(r)];
+      const std::uint32_t li = load_in[static_cast<std::size_t>(r)][d];
+      const std::uint32_t mx = std::max(lo, li);
+      const std::uint32_t sum = lo + li;
+      if (best < 0 || mx < best_max || (mx == best_max && sum < best_sum)) {
+        best = r;
+        best_max = mx;
+        best_sum = sum;
+      }
+    }
+    relay_of[k] = best;
+    ++load_out[s][static_cast<std::size_t>(best)];
+    ++load_in[static_cast<std::size_t>(best)][d];
+  }
+  return relay_of;
+}
+
+// Seeded demands of every shape the routers meet, for one clique size.
+std::vector<RoutingDemand> schedule_demands(int n, Rng& rng) {
+  std::vector<RoutingDemand> out;
+  auto draw = [&](int bound) { return static_cast<int>(rng.uniform(static_cast<std::uint64_t>(bound))); };
+  RoutingDemand empty;
+  empty.payload_bits = 8;
+  out.push_back(empty);
+  RoutingDemand uniform;
+  uniform.payload_bits = 8;
+  const int per_player = 1 + draw(3 * n);
+  for (int v = 0; v < n; ++v) {
+    for (int k = 0; k < per_player; ++k) {
+      uniform.messages.push_back(RoutedMessage{v, draw(n), rng.uniform(256)});
+    }
+  }
+  out.push_back(uniform);
+  out.push_back(random_balanced_demand(n, 1 + draw(2 * n), 8, rng));
+  // Hot pair: one (source, dest) pair carries c·n messages, over a light
+  // uniform background.
+  RoutingDemand hot = uniform;
+  const int hs = draw(n), hd = draw(n);
+  for (int k = 0; k < 2 * n + 1; ++k) hot.messages.push_back(RoutedMessage{hs, hd, 7});
+  rng.shuffle(hot.messages);
+  out.push_back(hot);
+  // All to one: every player sends to one destination.
+  RoutingDemand to_one;
+  to_one.payload_bits = 8;
+  const int sink = draw(n);
+  for (int v = 0; v < n; ++v) {
+    const int count = 1 + draw(4);
+    for (int k = 0; k < count; ++k) to_one.messages.push_back(RoutedMessage{v, sink, 1});
+  }
+  out.push_back(to_one);
+  // Self messages mixed with ordinary ones, and exact duplicates.
+  RoutingDemand mixed;
+  mixed.payload_bits = 8;
+  for (int k = 0; k < 4 * n; ++k) {
+    const int v = draw(n);
+    mixed.messages.push_back(RoutedMessage{v, k % 3 == 0 ? v : draw(n), rng.uniform(4)});
+    if (k % 5 == 0) mixed.messages.push_back(mixed.messages.back());
+  }
+  out.push_back(mixed);
+  return out;
+}
+
+TEST(Routing, TwoPhaseScheduleMatchesOracle) {
+  Rng rng(13);
+  for (int n = 1; n <= 64; ++n) {
+    for (const RoutingDemand& d : schedule_demands(n, rng)) {
+      ASSERT_EQ(two_phase_schedule(n, d), two_phase_schedule_oracle(n, d))
+          << "n=" << n << " messages=" << d.messages.size();
+    }
+  }
+}
+
+// More than 2^15 messages, so loads and bucket offsets pass 16 bits.
+TEST(Routing, TwoPhaseScheduleMatchesOracleOnLargeDemand) {
+  Rng rng(14);
+  const int n = 24;
+  RoutingDemand d;
+  d.payload_bits = 8;
+  for (int k = 0; k < (1 << 15) + 1000; ++k) {
+    const int s = static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
+    // A third of the traffic lands on player 0, so some edge loads grow large.
+    const int t = k % 3 == 0 ? 0 : static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
+    d.messages.push_back(RoutedMessage{s, t, rng.uniform(256)});
+  }
+  ASSERT_GT(d.messages.size(), std::size_t{1} << 15);
+  EXPECT_EQ(two_phase_schedule(n, d), two_phase_schedule_oracle(n, d));
+  CliqueUnicast net(n, 32);
+  EXPECT_EQ(flatten(route_two_phase(net, d).delivered), flatten(d));
 }
 
 // The headline property: hot-pair demands (all of one player's messages to

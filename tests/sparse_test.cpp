@@ -317,7 +317,7 @@ TEST(SparseMm, LowDensityBeatsDenseBitsHighDensityDoesNot) {
   const Csr61 slo = Csr61::from_dense(lo);
   const SparseMmPlan plan_lo =
       sparse_mm_plan(n, 61, 64, declared_nnz_profile(slo, slo));
-  EXPECT_LT(plan_lo.total_bits, plan_lo.dense_bits);
+  EXPECT_LT(plan_lo.total_bits, plan_lo.dense.total_bits);
   EXPECT_TRUE(sparse_backend_preferred(plan_lo));
 
   Mat61 hi(n);
