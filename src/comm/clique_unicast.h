@@ -22,6 +22,15 @@
 
 namespace cclique {
 
+/// One stream of a fixed-length exchange: bits [pos, pos + len) of *buf.
+/// After the exchange commits it is also the receiver's read-only view of
+/// the stream, zero-copy in the sender's buffer.
+struct StreamView {
+  const Message* buf = nullptr;
+  std::size_t pos = 0;
+  std::size_t len = 0;
+};
+
 /// Round-synchronous engine for the unicast congested clique.
 ///
 /// Determinism: all accounting (stats()) is bit-identical at any
@@ -71,6 +80,28 @@ class CliqueUnicast {
   /// arena lifetime rule).
   void round_fill(const FillFn& fill, const RecvFn& recv);
 
+  /// Executes a fixed-length stream exchange, the unit the payload drivers
+  /// and both relay hops run on. streams[i·n + j] is the stream i -> j; its
+  /// length is known before round 0, so the exchange takes
+  /// ceil(max len / b) rounds, round k carrying bits [k·b, (k+1)·b) of each
+  /// stream. Every (round, edge) piece of min(b, len − k·b) bits is charged
+  /// through charge_message and each round commits in player order, so
+  /// stats() end exactly as if each round's pieces had gone through
+  /// round_fill. Nothing is delivered before the last round commits; then
+  /// receiver r reads stream (j -> r) through the view streams[j·n + r], in
+  /// sender j's buffer (DESIGN.md §2.1, lifetime rule: a view is valid while
+  /// that buffer lives unmodified). A non-empty self-stream throws
+  /// ModelViolation before round 0 and commits nothing. Returns the rounds
+  /// used. Preconditions: n² streams, each inside its buffer (CC_REQUIRE).
+  int exchange_streams(const std::vector<StreamView>& streams);
+
+  /// Runs one local computation step, fn(player) for every player under
+  /// that player's locality scope: one pool task per player, or inline in
+  /// player order when `work_bits` is below EngineCore::serial_grain(n).
+  /// Charges nothing. Every player runs; the lowest player's exception is
+  /// rethrown.
+  void run_local(std::uint64_t work_bits, const std::function<void(int)>& fn);
+
   /// Registers a 2-party partition (side[i] in {0,1}) so stats().cut_bits
   /// accumulates the bits crossing it — the quantity 2-party reductions pay.
   void set_cut(std::vector<int> side) { core_.set_cut(std::move(side)); }
@@ -93,10 +124,11 @@ class CliqueUnicast {
   std::vector<Message> inbox_;
 };
 
-/// Delivers arbitrarily long per-edge payloads by chunking them into
-/// ceil(L/b)-round streams (all edges progress in parallel). payload[i][j]
-/// is what player i wants player j to end up holding; on return,
-/// received[j][i] holds it. Returns the number of rounds used.
+/// Delivers arbitrarily long per-edge payloads as one stream exchange
+/// (CliqueUnicast::exchange_streams: ceil(L/b) rounds, all edges in
+/// parallel). payload[i][j] is what player i wants player j to end up
+/// holding; on return, received[j][i] holds an owned copy of it. Returns the
+/// number of rounds used.
 ///
 /// Preconditions: payload is an n x n matrix (CC_REQUIRE); diagonal
 /// entries are ignored only if empty (a non-empty self-payload trips the
@@ -136,7 +168,9 @@ ExchangeCost all_gather_cost(int n, std::size_t bits, int bandwidth);
 /// per chunk. This one walk is the whole relay schedule: the executor
 /// (unicast_payloads_relayed) cuts and splices streams with it, and the cost
 /// side (relay_link_loads, core/block_mm.h relay_cost) prices the same
-/// chunks in closed form, so the two cannot drift apart.
+/// chunks in closed form, so the two cannot drift apart. Where the executor
+/// needs one chunk, not all n, it locates ⌊len·c/n⌋ directly, and its fill
+/// check holds that to the same loads.
 class RelayChunkWalk {
  public:
   /// Preconditions: n >= 1.
@@ -266,20 +300,25 @@ RelayLinkLoads relay_link_loads(int n, LenFn&& len) {
 /// message-level router of DESIGN.md §4a, lifted to bit streams): every
 /// payload is split into n near-equal chunks by RelayChunkWalk, chunk c
 /// travels source -> relay relay_of_chunk(v, p, c) -> destination. Each
-/// hop ships one stream per link, the link's chunks back to back, in the
-/// same round loop and per-round slices as unicast_payloads. A player's
-/// streams for a hop sit in one buffer sized from relay_link_loads, not in
-/// n separate messages. Per-edge load per hop is therefore ~(per-player
-/// total)/n instead of the largest single payload, which is what turns the
-/// skewed block-distribution demand of the algebraic MM protocol into its
-/// O(n^{1/3}) round bound.
+/// hop is one stream exchange (CliqueUnicast::exchange_streams) of one
+/// stream per link, the link's chunks back to back. A player's streams for
+/// a hop sit in one buffer sized from relay_link_loads. Three per-player
+/// local stages (CliqueUnicast::run_local) move the chunks: source v fills
+/// its hop-1 buffer, relay t regroups straight from its delivered views
+/// into its hop-2 buffer, destination p splices into payloads allocated at
+/// full length. Each stage CC_CHECKs every stream's measured fill against
+/// relay_link_loads, and the exchanges charge the measured fill. Per-edge
+/// load per hop is therefore ~(per-player total)/n instead of the largest
+/// single payload, which is what turns the skewed block-distribution demand
+/// of the algebraic MM protocol into its O(n^{1/3}) round bound.
 ///
 /// Contract: the *length* matrix of `payload` must be globally known (a
 /// data-independent function of the protocol's parameters, never of input
 /// values) — relays and receivers locate chunks by recomputing lengths, so
 /// data-dependent lengths would leak information outside the accounting.
-/// payload[v][v] must be empty (CC_REQUIRE). On return received[r][v]
-/// holds payload[v][r]. Returns the number of rounds used (both hops).
+/// payload[v][v] must be empty, n < 2^16 and every payload shorter than
+/// 2^32 bits (CC_REQUIRE). On return received[r][v] holds payload[v][r].
+/// Returns the number of rounds used (both hops).
 ///
 /// Cost: with per-player total load <= M bits, each hop's per-edge load is
 /// <= ceil(M/n) + (payload count) remainder bits, so the delivery takes

@@ -101,25 +101,30 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : shared_->workers) w.join();
 }
 
+namespace {
+
+// The serial schedule of run_indexed's contract: every index runs, and the
+// lowest index's exception is rethrown afterwards.
+void run_serial(int count, const std::function<void(int)>& fn) {
+  std::exception_ptr error;
+  for (int i = 0; i < count; ++i) {
+    try {
+      fn(i);
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+}  // namespace
+
 void ThreadPool::run_indexed(int count, const std::function<void(int)>& fn) {
   if (count <= 0) return;
   Shared* s = shared_.get();
   std::lock_guard<std::mutex> job(s->job_mutex);
   if (s->workers.empty()) {
-    // Serial mode: same contract (run everything, lowest-index exception).
-    int error_index = -1;
-    std::exception_ptr error;
-    for (int i = 0; i < count; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        if (error_index < 0) {
-          error_index = i;
-          error = std::current_exception();
-        }
-      }
-    }
-    if (error) std::rethrow_exception(error);
+    run_serial(count, fn);
     return;
   }
   std::uint64_t gen;
@@ -177,13 +182,29 @@ void EngineCore::reset_stats() {
   stats_.per_player_recv_bits.assign(static_cast<std::size_t>(n_), 0);
 }
 
-void EngineCore::send_phase(const std::function<void(int, PlayerCharge&)>& fn) {
+ThreadPool& EngineCore::pool() {
   if (pool_ == nullptr) pool_ = shared_thread_pool(cc_thread_count());
+  return *pool_;
+}
+
+void EngineCore::send_phase(const std::function<void(int, PlayerCharge&)>& fn) {
   for (PlayerCharge& c : charges_) c.reset();
-  pool_->run_indexed(n_, [&](int player) {
+  pool().run_indexed(n_, [&](int player) {
     fn(player, charges_[static_cast<std::size_t>(player)]);
   });
   // No exception: commit charges in player order.
+  commit_round();
+}
+
+void EngineCore::run_players(std::uint64_t work_bits, const std::function<void(int)>& fn) {
+  if (work_bits < serial_grain(n_)) {
+    run_serial(n_, fn);
+  } else {
+    pool().run_indexed(n_, fn);
+  }
+}
+
+void EngineCore::commit_round() {
   for (int i = 0; i < n_; ++i) {
     const PlayerCharge& c = charges_[static_cast<std::size_t>(i)];
     stats_.total_bits += c.bits;

@@ -161,6 +161,21 @@ class EngineCore {
   /// propagates (see the determinism contract above).
   void send_phase(const std::function<void(int, PlayerCharge&)>& fn);
 
+  /// One round whose every message length is known before it starts:
+  /// fn(player, charge) charges the player's messages inline on the calling
+  /// thread, in player order, then the round commits exactly as after
+  /// send_phase. Metering a precomputed exchange is O(n) per player, far
+  /// below the cost of waking the pool.
+  template <typename ChargeFn>
+  void metered_round(ChargeFn&& fn) {
+    for (int i = 0; i < n_; ++i) {
+      PlayerCharge& c = charges_[static_cast<std::size_t>(i)];
+      c.reset();
+      fn(i, c);
+    }
+    commit_round();
+  }
+
   /// Records bits landing at `receiver`. Must only be called from the
   /// serial delivery loop (player order) — it writes stats directly, with
   /// no per-player scratch, so it is not safe from send-phase workers.
@@ -168,7 +183,23 @@ class EngineCore {
     stats_.per_player_recv_bits[static_cast<std::size_t>(receiver)] += bits;
   }
 
+  /// Work below which a per-player stage runs inline: 4096·n bits. A fixed
+  /// function of (n, bits), never of the host, so it changes wall time only.
+  static std::uint64_t serial_grain(int n) {
+    return std::uint64_t{4096} * static_cast<std::uint64_t>(n);
+  }
+
+  /// Runs fn(player) for every player: one pool task each (CC_THREADS), or
+  /// inline in player order when `work_bits` is below serial_grain(n), so
+  /// small stages never wake the pool. Same failure contract as send_phase:
+  /// every player runs, and the lowest player's exception is rethrown.
+  void run_players(std::uint64_t work_bits, const std::function<void(int)>& fn);
+
  private:
+  /// Commits the per-player charges in player order and counts the round.
+  void commit_round();
+  ThreadPool& pool();
+
   int n_;
   int bandwidth_;
   std::vector<int> cut_side_;

@@ -9,7 +9,7 @@ namespace cclique {
 
 CircuitSimulation::CircuitSimulation(const Circuit& circuit, int n_players,
                                      AssignPolicy policy)
-    : circuit_(&circuit) {
+    : circuit_(&circuit), layers_(circuit.layers()) {
   CC_REQUIRE(n_players >= 2, "need at least two players");
   const std::size_t n = static_cast<std::size_t>(n_players);
   const std::size_t wires = circuit.num_wires();
@@ -157,7 +157,7 @@ CircuitSimResult CircuitSimulation::run(CliqueUnicast& net,
     }
   }
 
-  const auto layers = c.layers();
+  const std::vector<std::vector<int>>& layers = layers_;
   // Heavy-output forwarding dedup: forwarded[holder][consumer] marks that
   // the holder already sent its heavy gate's value to the consumer. A player
   // owns at most one heavy gate, so the holder names the gate.

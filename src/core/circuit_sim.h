@@ -115,6 +115,9 @@ class CircuitSimulation {
 
  private:
   const Circuit* circuit_;
+  /// The circuit's evaluation layers (Circuit::layers), computed once here
+  /// since every run walks them.
+  std::vector<std::vector<int>> layers_;
   CircuitSimPlan plan_;
 };
 

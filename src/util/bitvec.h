@@ -19,6 +19,7 @@
 // read-only view when zero-copy delivery is wanted.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -109,11 +110,23 @@ class BitVec {
     words_.clear();  // keeps vector capacity; appends re-zero on entry
   }
 
-  /// Owned mode only: preallocates capacity for `nbits` bits.
+  /// Owned mode only: preallocates zeroed storage for `nbits` bits, so
+  /// appends up to that length never grow the vector again.
   void reserve_bits(std::size_t nbits) {
     CC_REQUIRE(!borrowed(), "reserve_bits on a borrowed BitVec");
-    words_.reserve((nbits + 63) / 64);
+    const std::size_t need_words = (nbits + 63) / 64;
+    if (words_.size() < need_words) words_.resize(need_words, 0);
   }
+
+  /// The storage words, read-only: bit i is bit i & 63 of word i >> 6, and
+  /// bits of the last word past size_bits() are zero. For word-level hot
+  /// paths such as the relay's chunk splicing (comm/clique_unicast.cpp).
+  const std::uint64_t* data() const { return word_data(); }
+
+  /// The storage words, writable: fills a vector sized up front
+  /// (BitVec(nbits)) word by word. Writers must leave bits past
+  /// size_bits() zero.
+  std::uint64_t* data() { return mutable_word_data(); }
 
   /// Reads the bit at `pos` (0-based). Requires pos < size_bits().
   bool get(std::size_t pos) const {
@@ -158,27 +171,15 @@ class BitVec {
   void append(const BitVec& other) { append_slice(other, 0, other.nbits_); }
 
   /// Appends `len` bits of `src` starting at bit `pos`: one range check,
-  /// one grow, then a word-level shift loop (the hot path of the chunked
-  /// payload helpers and the relay).
+  /// one grow, then a word-level shift loop.
   void append_slice(const BitVec& src, std::size_t pos, std::size_t len) {
     CC_REQUIRE(pos <= src.nbits_ && len <= src.nbits_ - pos,
                "append_slice out of range");
     if (len == 0) return;
     grow_for(len);
     // Fetched after grow_for: src may be *this.
-    copy_bits(mutable_word_data(), nbits_, src.word_data(), pos, len, /*fresh=*/true);
+    copy_bits(mutable_word_data(), nbits_, src.word_data(), pos, len);
     nbits_ += len;
-  }
-
-  /// Overwrites bits [at, at + len) with `len` bits of `src` starting at
-  /// bit `pos`; the length is unchanged. Requires at + len <= size_bits().
-  /// Lets a stream buffer sized up front be filled out of order.
-  void write_slice(std::size_t at, const BitVec& src, std::size_t pos, std::size_t len) {
-    CC_REQUIRE(pos <= src.nbits_ && len <= src.nbits_ - pos,
-               "write_slice source out of range");
-    CC_REQUIRE(at <= nbits_ && len <= nbits_ - at, "write_slice target out of range");
-    if (len == 0) return;
-    copy_bits(mutable_word_data(), at, src.word_data(), pos, len, /*fresh=*/false);
   }
 
   /// Extracts `width` bits starting at `pos` as an integer
@@ -227,13 +228,12 @@ class BitVec {
   std::uint64_t* mutable_word_data() { return ext_ != nullptr ? ext_ : words_.data(); }
   std::size_t word_count() const { return (nbits_ + 63) / 64; }
 
-  /// Copies `len` >= 1 bits from bit `sp` of `s` to bit `dp` of `d`, 64 at
-  /// a time. With `fresh`, every destination bit at or above dp is known
-  /// zero or unused (the append case: grow_for's invariant below), so words
-  /// past the first are assigned whole; otherwise bits outside the target
-  /// range are preserved.
+  /// Appends `len` >= 1 bits from bit `sp` of `s` at bit `dp` of `d`, 64 at
+  /// a time. Every destination bit at or above dp is known zero or unused
+  /// (grow_for's invariant below), so words past the first are assigned
+  /// whole.
   static void copy_bits(std::uint64_t* d, std::size_t dp, const std::uint64_t* s,
-                        std::size_t sp, std::size_t len, bool fresh) {
+                        std::size_t sp, std::size_t len) {
     std::size_t dw = dp >> 6, sw = sp >> 6;
     const int doff = static_cast<int>(dp & 63), soff = static_cast<int>(sp & 63);
     for (std::size_t left = len; left > 0;) {
@@ -241,21 +241,12 @@ class BitVec {
       // The next `take` source bits, low-aligned.
       std::uint64_t bits = s[sw] >> soff;
       if (soff + take > 64) bits |= s[sw + 1] << (64 - soff);
-      const std::uint64_t mask = take < 64 ? (1ULL << take) - 1 : ~0ULL;
-      bits &= mask;
-      if (fresh) {
-        if (doff == 0) {
-          d[dw] = bits;
-        } else {
-          d[dw] |= bits << doff;
-          if (doff + take > 64) d[dw + 1] = bits >> (64 - doff);
-        }
+      bits &= take < 64 ? (1ULL << take) - 1 : ~0ULL;
+      if (doff == 0) {
+        d[dw] = bits;
       } else {
-        d[dw] = (d[dw] & ~(mask << doff)) | (bits << doff);
-        if (doff + take > 64) {
-          const std::uint64_t hi = mask >> (64 - doff);
-          d[dw + 1] = (d[dw + 1] & ~hi) | (bits >> (64 - doff));
-        }
+        d[dw] |= bits << doff;
+        if (doff + take > 64) d[dw + 1] = bits >> (64 - doff);
       }
       ++sw;
       ++dw;
@@ -265,7 +256,9 @@ class BitVec {
 
   /// Makes room for `extra` more bits. Invariant maintained by all writers:
   /// in the word holding position nbits_, every bit at or above nbits_&63 is
-  /// zero, so appends can OR into place. Owned mode zero-fills on resize;
+  /// zero, so appends can OR into place. Owned mode keeps every stored word
+  /// past the contents zero and grows the zero-filled storage geometrically,
+  /// so a long run of appends resizes O(log) times, not once per word;
   /// borrowed (arena) storage is uninitialized, so the word being entered at
   /// a 64-bit boundary is zeroed here.
   void grow_for(std::size_t extra) {
@@ -277,7 +270,9 @@ class BitVec {
       if ((nbits_ & 63) == 0) ext_[nbits_ >> 6] = 0;
     } else {
       const std::size_t need_words = (nbits_ + extra + 63) / 64;
-      if (words_.size() < need_words) words_.resize(need_words, 0);
+      if (words_.size() < need_words) {
+        words_.resize(std::max(need_words, 2 * words_.size()), 0);
+      }
     }
   }
 

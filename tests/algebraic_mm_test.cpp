@@ -204,8 +204,9 @@ TEST(AlgebraicMm, PerPlayerLoadIsBalanced) {
 }
 
 TEST(AlgebraicMm, StatsAreThreadCountInvariant) {
-  // The protocol only speaks round_fill through unicast_payloads, so the
-  // engine determinism contract must carry over verbatim.
+  // The protocol only speaks to the engine through stream exchanges
+  // (unicast_payloads and the relay), so the engine determinism contract
+  // must carry over verbatim.
   auto run = [] {
     Rng rng(55);
     const int n = 12;

@@ -386,8 +386,9 @@ TEST(Apsp, RejectsMismatchedInputs) {
 }
 
 TEST(Apsp, StatsAreThreadCountInvariant) {
-  // The protocol only speaks round_fill through unicast_payloads(_relayed),
-  // so the engine determinism contract must carry over verbatim.
+  // The protocol only speaks to the engine through stream exchanges
+  // (unicast_payloads and the relay), so the engine determinism contract
+  // must carry over verbatim.
   auto run = [] {
     Rng rng(88);
     Graph g = gnp(12, 0.4, rng);

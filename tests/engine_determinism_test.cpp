@@ -4,6 +4,7 @@
 // deterministically (lowest player wins, nothing committed).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 
@@ -48,7 +49,7 @@ Message bits_of(std::uint64_t v, int w) {
 }
 
 /// A fixed protocol exercising every engine and both round paths: a legacy
-/// unicast round, chunked all-pairs payloads (round_fill), chunked
+/// unicast round, chunked all-pairs payloads (a stream exchange), chunked
 /// broadcasts, and a CONGEST round — all with a registered cut.
 struct ProtocolStats {
   CommStats unicast;
@@ -247,6 +248,105 @@ TEST(EngineDeterminism, LowestPlayerWinsForLocalityViolations) {
     }
     EXPECT_EQ(net.stats().rounds, 0) << "CC_THREADS=" << threads;
   }
+}
+
+/// A fixed-length stream matrix with every length regime the exchange must
+/// meter: empty streams, streams shorter than, equal to and longer than the
+/// bandwidth, and one much longer than the rest (so late rounds carry few
+/// messages). Stream (i -> j) sits in one shared buffer per sender.
+struct StreamFixture {
+  int n = 0;
+  std::vector<Message> lane;
+  std::vector<StreamView> streams;
+};
+
+StreamFixture stream_fixture(int n, int b) {
+  StreamFixture f;
+  f.n = n;
+  const std::size_t nn = static_cast<std::size_t>(n);
+  f.lane.resize(nn);
+  f.streams.resize(nn * nn);
+  Rng rng(0x57ea + static_cast<std::uint64_t>(n));
+  for (std::size_t i = 0; i < nn; ++i) {
+    std::vector<std::size_t> len(nn, 0);
+    for (std::size_t j = 0; j < nn; ++j) {
+      if (j == i || (i + 2 * j) % 5 == 0) continue;
+      len[j] = static_cast<std::size_t>(rng.uniform(static_cast<std::uint64_t>(3 * b + 2)));
+    }
+    if (i == 1 && nn > 2) len[2] = static_cast<std::size_t>(7 * b + 3);
+    for (std::size_t j = 0; j < nn; ++j) {
+      f.streams[i * nn + j] = StreamView{&f.lane[i], f.lane[i].size_bits(), len[j]};
+      for (std::size_t t = 0; t < len[j]; ++t) f.lane[i].push_bit(rng.coin());
+    }
+  }
+  return f;
+}
+
+/// The same pieces through round_fill, one round per b-bit slice: the
+/// per-round reference the stream exchange must meter identically.
+int round_fill_reference(CliqueUnicast& net, const StreamFixture& f) {
+  const std::size_t nn = static_cast<std::size_t>(f.n);
+  const std::size_t b = static_cast<std::size_t>(net.bandwidth());
+  std::size_t max_len = 0;
+  for (const StreamView& st : f.streams) max_len = std::max(max_len, st.len);
+  const int rounds = static_cast<int>((max_len + b - 1) / b);
+  for (int k = 0; k < rounds; ++k) {
+    const std::size_t off = static_cast<std::size_t>(k) * b;
+    net.round_fill(
+        [&](int i, Message* box) {
+          for (std::size_t j = 0; j < nn; ++j) {
+            const StreamView& st = f.streams[static_cast<std::size_t>(i) * nn + j];
+            if (st.len > off) box[j].append_slice(*st.buf, st.pos + off, std::min(b, st.len - off));
+          }
+        },
+        [](int, const std::vector<Message>&) {});
+  }
+  return rounds;
+}
+
+TEST(EngineDeterminism, StreamExchangeMetersLikeRoundFillAtEveryThreadCount) {
+  for (const char* threads : {"1", "4"}) {
+    ScopedThreads scoped(threads);
+    for (int n : {2, 5, 12}) {
+      for (int b : {1, 17, 64}) {
+        const StreamFixture f = stream_fixture(n, b);
+        std::vector<int> side(static_cast<std::size_t>(n));
+        for (int i = 0; i < n; ++i) side[static_cast<std::size_t>(i)] = (i * 7) % 3 == 0;
+        CliqueUnicast net(n, b), ref(n, b);
+        net.set_cut(side);
+        ref.set_cut(side);
+        const int rounds = net.exchange_streams(f.streams);
+        EXPECT_EQ(rounds, round_fill_reference(ref, f));
+        // Every field: totals, cut bits, the per-round edge maximum and the
+        // per-player sent and received vectors.
+        EXPECT_EQ(net.stats(), ref.stats())
+            << "CC_THREADS=" << threads << " n=" << n << " b=" << b;
+        EXPECT_GT(net.stats().cut_bits, 0u);
+        if (n > 2) {  // the long stream 1 -> 2 fills whole rounds
+          EXPECT_EQ(net.stats().max_edge_bits_in_round, static_cast<std::uint64_t>(b));
+        }
+      }
+    }
+  }
+}
+
+TEST(EngineDeterminism, StreamExchangeRejectsSelfStreamsAndCommitsNothing) {
+  const int n = 4;
+  Message buf;
+  for (int t = 0; t < 40; ++t) buf.push_bit(t % 3 == 0);
+  std::vector<StreamView> streams(static_cast<std::size_t>(n * n));
+  streams[0 * n + 1] = StreamView{&buf, 0, 30};
+  streams[2 * n + 2] = StreamView{&buf, 30, 1};  // player 2 -> itself
+  CliqueUnicast net(n, 8);
+  EXPECT_THROW(net.exchange_streams(streams), ModelViolation);
+  EXPECT_EQ(net.stats(), CliqueUnicast(n, 8).stats());
+  // A view outside its buffer is a caller error, also caught before round 0.
+  streams[2 * n + 2] = StreamView{};
+  streams[3 * n + 0] = StreamView{&buf, 35, 6};
+  EXPECT_THROW(net.exchange_streams(streams), PreconditionError);
+  EXPECT_EQ(net.stats().rounds, 0);
+  streams[3 * n + 0] = StreamView{};
+  EXPECT_EQ(net.exchange_streams(streams), 4);
 }
 
 TEST(EngineDeterminism, ThreadCountParsing) {

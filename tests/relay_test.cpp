@@ -12,7 +12,8 @@
 //  * the closed-form relay_cost equals the O(n^3) replay;
 //  * the executor round-trips every payload, its CommStats equal those of
 //    the replayed executor built from the definition, and its rounds/bits
-//    equal relay_cost of the same lengths.
+//    equal relay_cost of the same lengths, also for chunks over 64 bits,
+//    empty rows and columns, and lengths ending on word boundaries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "comm/clique_unicast.h"
+#include "comm/engine.h"
 #include "core/block_mm.h"
 #include "util/math_util.h"
 #include "util/rng.h"
@@ -326,6 +328,61 @@ TEST(RelayedPayloads, FuzzMatchesReplayExecutorAndClosedForm) {
                                         << static_cast<int>(regime) << " b=" << b);
       expect_relay_matches_replay(len, b, rng);
     }
+  }
+}
+
+// Length shapes the executor's word-level chunk copies must survive: chunks
+// over 64 bits (l > 64n), a fully empty row and column, and lengths ending
+// exactly on a 64-bit word boundary.
+enum class Shape { kWideChunks, kEmptyRowAndColumn, kWordBoundaries };
+
+LengthMatrix shaped_lengths(int n, Shape shape, Rng& rng) {
+  const std::size_t nn = static_cast<std::size_t>(n);
+  LengthMatrix len(nn, std::vector<std::size_t>(nn, 0));
+  const std::size_t empty = static_cast<std::size_t>(rng.uniform(nn));
+  for (std::size_t v = 0; v < nn; ++v) {
+    for (std::size_t p = 0; p < nn; ++p) {
+      if (p == v) continue;
+      switch (shape) {
+        case Shape::kWideChunks:
+          len[v][p] = 64 * nn + 1 + static_cast<std::size_t>(rng.uniform(130 * nn));
+          break;
+        case Shape::kEmptyRowAndColumn:
+          if (v != empty && p != empty) {
+            len[v][p] = static_cast<std::size_t>(rng.uniform(70 * nn + 3));
+          }
+          break;
+        case Shape::kWordBoundaries:
+          len[v][p] = 64 * (1 + static_cast<std::size_t>(rng.uniform(3 * nn)));
+          break;
+      }
+    }
+  }
+  return len;
+}
+
+TEST(RelayedPayloads, FuzzEdgeShapesMatchReplayExecutor) {
+  Rng rng(0xed9e);
+  for (int n : {1, 2, 3, 5}) {
+    for (int b : {1, 17, 64, 100}) {
+      for (Shape shape : {Shape::kWideChunks, Shape::kEmptyRowAndColumn, Shape::kWordBoundaries}) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " b=" << b
+                                          << " shape=" << static_cast<int>(shape));
+        expect_relay_matches_replay(shaped_lengths(n, shape, rng), b, rng);
+      }
+    }
+  }
+  // Large enough that every stage clears the serial grain and runs as pool
+  // tasks at CC_THREADS > 1.
+  for (Shape shape : {Shape::kWideChunks, Shape::kEmptyRowAndColumn, Shape::kWordBoundaries}) {
+    SCOPED_TRACE(::testing::Message() << "n=16 shape=" << static_cast<int>(shape));
+    const LengthMatrix len = shaped_lengths(16, shape, rng);
+    std::uint64_t total = 0;
+    for (const auto& row : len) {
+      for (std::size_t l : row) total += l;
+    }
+    ASSERT_GE(total, EngineCore::serial_grain(16));
+    expect_relay_matches_replay(len, 64, rng);
   }
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "util/bitvec.h"
 #include "util/check.h"
@@ -115,25 +116,35 @@ TEST(BitVec, AppendSliceRangeAndCapacityChecks) {
   EXPECT_EQ(borrowed.size_bits(), 70u);
 }
 
-TEST(BitVec, WriteSliceOverwritesOnlyTheTargetRange) {
-  Rng rng(78);
-  BitVec src;
-  for (int i = 0; i < 300; ++i) src.push_bit(rng.coin());
-  for (std::size_t at : {0, 1, 37, 63, 64, 100}) {
-    for (std::size_t src_off : {0, 5, 64, 99}) {
-      for (std::size_t len : {0, 1, 63, 64, 65, 150}) {
-        BitVec dst;
-        for (int i = 0; i < 260; ++i) dst.push_bit(rng.coin());
-        BitVec want = dst;
-        for (std::size_t i = 0; i < len; ++i) want.set(at + i, src.get(src_off + i));
-        dst.write_slice(at, src, src_off, len);
-        EXPECT_EQ(dst, want) << at << "/" << src_off << "/" << len;
-      }
+TEST(BitVec, GrowthAndClearKeepStorageTailZero) {
+  // Owned storage grows geometrically and survives clear(); the words past
+  // the contents must stay zero, since appends OR into them and data()
+  // promises zero bits past size_bits().
+  Rng rng(91);
+  BitVec v;
+  std::string want;
+  for (int round = 0; round < 3; ++round) {
+    v.clear();
+    want.clear();
+    const int bits = 700 - 250 * round;
+    for (int i = 0; i < bits; ++i) {
+      const bool b = rng.coin();
+      v.push_bit(b);
+      want.push_back(b ? '1' : '0');
+    }
+    EXPECT_EQ(v.to_string(), want);
+    const std::size_t tail = v.size_bits() & 63;
+    if (tail != 0) {
+      EXPECT_EQ(v.data()[v.size_bits() >> 6] >> tail, 0u);
     }
   }
-  BitVec dst(10);
-  EXPECT_THROW(dst.write_slice(5, src, 0, 6), PreconditionError);
-  EXPECT_THROW(dst.write_slice(0, src, 299, 2), PreconditionError);
+  BitVec r;
+  r.reserve_bits(130);
+  r.push_uint(~0ULL, 64);
+  r.push_uint(~0ULL, 64);
+  r.push_uint(1, 2);
+  EXPECT_EQ(r.size_bits(), 130u);
+  EXPECT_EQ(r.data()[2], 1u);
 }
 
 TEST(BitVec, SetClearsAndSets) {
